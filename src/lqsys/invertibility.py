@@ -14,17 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import HiddenModeConditionError, RealizabilityError
 from .kalman import HiddenModeReport, check_imaginary_hidden_modes, kalman_decompose
-from .model import (
-    StateSpace,
-    check_physical_realizability,
-    dual_adjoint,
-    frequency_response,
-)
-from .linalg import frobenius
+from .model import StateSpace, check_physical_realizability, verify_inverse_identity
 from .spectra import SpectrumReport, format_complex
 from .zeros import transmission_zeros
 
@@ -139,25 +131,12 @@ def inversion_witness(ss: StateSpace, s_samples, tol=1e-9) -> InversionWitness:
     """Evaluate the inverse system response pointwise and confirm the
     composition is the identity; samples at poles of either factor are
     skipped with a note."""
-    ident = np.eye(ss.field_dim)
-    checked, skipped = [], []
-    worst = 0.0
-    for s in s_samples:
-        s = complex(s)
-        try:
-            g = frequency_response(ss, s)
-            h = frequency_response(ss, -s.conjugate())
-        except Exception:
-            skipped.append(s)
-            continue
-        res = frobenius(g @ dual_adjoint(h, ss.representation) - ident)
-        worst = max(worst, res)
-        checked.append(s)
+    rep = verify_inverse_identity(ss, s_samples, tol)
     zeros_rep = transmission_zeros(ss, min(tol, 1e-9))
     return InversionWitness(
-        ok=bool(checked) and worst <= tol,
-        max_residual=worst,
-        checked=tuple(checked),
-        skipped=tuple(skipped),
+        ok=rep.ok,
+        max_residual=rep.max_residual,
+        checked=rep.checked,
+        skipped=rep.skipped,
         inverse_poles=zeros_rep.mirrored(),
     )

@@ -1,6 +1,11 @@
 """Exact arithmetic over the Gaussian rationals Q(i), polynomials in s over
 that field, and reduced rational functions.
 
+A Gaussian rational is stored as three Python ints (x, y, q) meaning
+(x + y*i)/q, kept canonical: q > 0 and gcd(x, y, q) = 1, so zero is
+(0, 0, 1).  Equal values therefore have equal fields, and each operation
+costs one integer gcd instead of a handful of Fraction objects.
+
 Polynomials are coefficient lists, lowest degree first; the zero polynomial
 is the empty list.  Rational functions keep gcd(num, den) = 1 with a monic
 denominator.  These types back every canonical-form computation (Smith and
@@ -12,6 +17,7 @@ way out.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ExactnessError, ParameterError
 
@@ -31,72 +37,116 @@ def _to_fraction(x):
     raise ExactnessError(f"cannot interpret {x!r} as an exact rational")
 
 
+_new = object.__new__
+
+
+def _gr(x, y, q):
+    """The GaussianRational (x + y*i)/q from ints with q > 0."""
+    g = gcd(x, y, q)
+    if g != 1:
+        x //= g
+        y //= g
+        q //= g
+    z = _new(GaussianRational)
+    z._x = x
+    z._y = y
+    z._q = q
+    return z
+
+
 class GaussianRational:
-    """An exact complex number re + im*i with Fraction components."""
+    """An exact complex number (x + y*i)/q over three Python ints.
 
-    __slots__ = ("re", "im")
+    Invariant: q > 0 and gcd(x, y, q) = 1, so equal values have equal
+    fields and ``==`` compares fields.  ``re`` and ``im`` are read-only
+    Fraction views.  Values are immutable: the fields are private and no
+    method writes them after construction.
+    """
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _to_fraction(re))
-        object.__setattr__(self, "im", _to_fraction(im))
+    __slots__ = ("_x", "_y", "_q")
 
-    def __setattr__(self, *_):
-        raise AttributeError("GaussianRational is immutable")
+    def __new__(cls, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            return _gr(re, im, 1)
+        re, im = _to_fraction(re), _to_fraction(im)
+        return _gr(
+            re.numerator * im.denominator,
+            im.numerator * re.denominator,
+            re.denominator * im.denominator,
+        )
 
     @classmethod
     def of(cls, x):
         """Coerce ints, Fractions, exact strings, floats and complex."""
-        if isinstance(x, GaussianRational):
+        if type(x) is cls:
             return x
         if isinstance(x, complex):
             return cls(Fraction(x.real), Fraction(x.imag))
-        return cls(_to_fraction(x))
+        return cls(x)
+
+    @property
+    def re(self):
+        return Fraction(self._x, self._q)
+
+    @property
+    def im(self):
+        return Fraction(self._y, self._q)
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self):
-        return not self.re and not self.im
+        return not self._x and not self._y
 
     def is_real(self):
-        return not self.im
+        return not self._y
 
     def is_imaginary(self):
-        return not self.re
+        return not self._x
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+    def __add__(self, o):
+        if type(o) is not GaussianRational:
+            o = GaussianRational.of(o)
+        q1, q2 = self._q, o._q
+        if q1 == q2:
+            return _gr(self._x + o._x, self._y + o._y, q1)
+        return _gr(self._x * q2 + o._x * q1, self._y * q2 + o._y * q1, q1 * q2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self._x, -self._y, self._q)
 
-    def __sub__(self, other):
-        return self + (-GaussianRational.of(other))
+    def __sub__(self, o):
+        if type(o) is not GaussianRational:
+            o = GaussianRational.of(o)
+        q1, q2 = self._q, o._q
+        if q1 == q2:
+            return _gr(self._x - o._x, self._y - o._y, q1)
+        return _gr(self._x * q2 - o._x * q1, self._y * q2 - o._y * q1, q1 * q2)
 
     def __rsub__(self, other):
-        return GaussianRational.of(other) + (-self)
+        return GaussianRational.of(other) - self
 
-    def __mul__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+    def __mul__(self, o):
+        if type(o) is not GaussianRational:
+            o = GaussianRational.of(o)
+        x1, y1, x2, y2 = self._x, self._y, o._x, o._y
+        return _gr(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, self._q * o._q)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = GaussianRational.of(other)
-        d = o.re * o.re + o.im * o.im
-        if not d:
+    def __truediv__(self, o):
+        if type(o) is not GaussianRational:
+            o = GaussianRational.of(o)
+        x1, y1, x2, y2 = self._x, self._y, o._x, o._y
+        n = x2 * x2 + y2 * y2
+        if not n:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        # (x1 + y1 i)/q1 / ((x2 + y2 i)/q2) = (x1 + y1 i)(x2 - y2 i) q2 / (q1 n)
+        q2 = o._q
+        return _gr((x1 * x2 + y1 * y2) * q2, (y1 * x2 - x1 * y2) * q2, self._q * n)
 
     def __rtruediv__(self, other):
         return GaussianRational.of(other) / self
@@ -114,50 +164,70 @@ class GaussianRational:
         return out
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gr(self._x, -self._y, self._q)
 
     def abs2(self):
         """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._x * self._x + self._y * self._y, self._q * self._q)
 
     # -- conversions / protocol -------------------------------------------
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, as float(Fraction) does
+        return complex(self._x / self._q, self._y / self._q)
 
     def __eq__(self, other):
-        try:
-            o = GaussianRational.of(other)
-        except (ExactnessError, TypeError):
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if type(other) is not GaussianRational:
+            try:
+                other = GaussianRational.of(other)
+            except (ExactnessError, TypeError):
+                return NotImplemented
+        return self._x == other._x and self._y == other._y and self._q == other._q
 
     def __hash__(self):
         # real values must hash like the numbers they equal (Fraction's
         # hash already agrees with int/float)
-        if not self.im:
+        if not self._y:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._x or self._y)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        im = f"{abs(self.im)}i" if abs(self.im) != 1 else "i"
-        sign = "+" if self.im > 0 else "-"
-        if not self.re:
-            return f"{'-' if sign == '-' else ''}{im}"
-        return f"{self.re}{sign}{im}"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        imtxt = f"{abs(im)}i" if abs(im) != 1 else "i"
+        sign = "+" if im > 0 else "-"
+        if not re:
+            return f"{'-' if sign == '-' else ''}{imtxt}"
+        return f"{re}{sign}{imtxt}"
 
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
+
+
+def content(polys):
+    """Positive rational c with every coefficient of ``polys`` divided by c
+    having integral, coprime real and imaginary parts; None when all are
+    zero.  Dividing a row or column by its content keeps coefficient sizes
+    bounded during the Smith reduction.  Each (x + y*i)/q contributes
+    gcd(x, y)/q, already reduced; zero is (0, 0, 1) and contributes nothing."""
+    num_gcd = 0
+    den_lcm = 1
+    for p in polys:
+        for c in p.coeffs:
+            num_gcd = gcd(num_gcd, c._x, c._y)
+            den_lcm = lcm(den_lcm, c._q)
+    if num_gcd == 0:
+        return None
+    return Fraction(num_gcd, den_lcm)
 
 
 class Poly:

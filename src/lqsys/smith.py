@@ -13,7 +13,6 @@ no floating-point variant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,8 +25,8 @@ from .rational import (
     GaussianRational,
     Poly,
     POLY_ONE,
-    POLY_ZERO,
     RationalFn,
+    content,
 )
 from .spectra import SpectrumReport
 
@@ -185,67 +184,48 @@ def transfer_matrix_exact(ss) -> RationalMatrix:
 # Smith / Smith-McMillan reduction
 
 
-def _content(polys):
-    """Positive rational c with entries/c integral and coprime, or None for
-    an all-zero collection.  Dividing a row or column by its content keeps
-    coefficient sizes bounded during the reduction (fraction containment)."""
-    num_gcd = 0
-    den_lcm = 1
-    for p in polys:
-        for coeff in p.coeffs:
-            for f in (coeff.re, coeff.im):
-                if f:
-                    num_gcd = math.gcd(num_gcd, abs(f.numerator))
-                    den_lcm = den_lcm // math.gcd(den_lcm, f.denominator) * f.denominator
-    if num_gcd == 0:
-        return None
-    return Fraction(num_gcd, den_lcm)
-
-
 class _PolyMat:
-    """Mutable polynomial matrix used only inside the reduction."""
+    """Mutable polynomial matrix used only inside the reduction and its
+    replay.  Operations are the tuples recorded in SmithMcMillanForm:
+    ("swap", i, j), ("addmul", dst, src, poly), ("scale", i, c) and
+    ("mix", i, j, a, b, c, d); each is written once, as a row operation."""
 
     def __init__(self, rows):
         self.m = [list(r) for r in rows]
 
-    @classmethod
-    def eye(cls, k):
-        return cls(
-            [[POLY_ONE if i == j else POLY_ZERO for j in range(k)] for i in range(k)]
-        )
+    def row_op(self, op):
+        getattr(self, "_" + op[0])(*op[1:])
 
-    def swap_rows(self, i, j):
+    def col_op(self, op):
+        """A column operation is the row operation on the transpose."""
+        self.m = [list(c) for c in zip(*self.m)]
+        self.row_op(op)
+        self.m = [list(r) for r in zip(*self.m)]
+
+    def _swap(self, i, j):
         self.m[i], self.m[j] = self.m[j], self.m[i]
 
-    def swap_cols(self, i, j):
-        for row in self.m:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(self, dst, src, poly):
+    def _addmul(self, dst, src, poly):
         self.m[dst] = [x + poly * y for x, y in zip(self.m[dst], self.m[src])]
 
-    def addmul_col(self, dst, src, poly):
-        for row in self.m:
-            row[dst] = row[dst] + poly * row[src]
-
-    def scale_row(self, i, c):
+    def _scale(self, i, c):
         self.m[i] = [Poly([cc * c for cc in x.coeffs]) for x in self.m[i]]
 
-    def scale_col(self, j, c):
-        for row in self.m:
-            row[j] = Poly([cc * c for cc in row[j].coeffs])
-
-    def mix_rows(self, i, j, a, b, c, d):
+    def _mix(self, i, j, a, b, c, d):
         """(row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j)."""
         ri, rj = self.m[i], self.m[j]
         self.m[i] = [a * x + b * y for x, y in zip(ri, rj)]
         self.m[j] = [c * x + d * y for x, y in zip(ri, rj)]
 
-    def mix_cols(self, i, j, a, b, c, d):
-        for row in self.m:
-            x, y = row[i], row[j]
-            row[i] = a * x + b * y
-            row[j] = c * x + d * y
+
+def _numerator(g: RationalMatrix):
+    """(N, d) with G = N/d: d the monic lcm of the entry denominators and
+    N the polynomial matrix d*G."""
+    d = POLY_ONE
+    for row in g.entries:
+        for e in row:
+            d = d.lcm(e.den)
+    return _PolyMat([[e.num * (d // e.den) for e in row] for row in g.entries]), d
 
 
 @dataclass(frozen=True)
@@ -295,52 +275,14 @@ class SmithMcMillanForm:
 
 def apply_operations(g: RationalMatrix, left_ops, right_ops) -> RationalMatrix:
     """Apply recorded elementary operations: left ops act on rows, right
-    ops on columns, each in recorded order."""
-    m = [list(row) for row in g.entries]
-
+    ops on columns, each in recorded order.  They are replayed on the
+    numerator N = d*G and divided by d once at the end."""
+    n, d = _numerator(g)
     for op in left_ops:
-        kind = op[0]
-        if kind == "swap":
-            _, i, j = op
-            m[i], m[j] = m[j], m[i]
-        elif kind == "addmul":
-            _, dst, src, poly = op
-            f = RationalFn(poly)
-            m[dst] = [x + f * y for x, y in zip(m[dst], m[src])]
-        elif kind == "mix":
-            _, i, j, a, b, c, d = op
-            fa, fb, fc, fd = (RationalFn(x) for x in (a, b, c, d))
-            ri, rj = m[i], m[j]
-            m[i] = [fa * x + fb * y for x, y in zip(ri, rj)]
-            m[j] = [fc * x + fd * y for x, y in zip(ri, rj)]
-        else:
-            _, i, c = op
-            f = RationalFn(Poly.constant(c))
-            m[i] = [f * x for x in m[i]]
+        n.row_op(op)
     for op in right_ops:
-        kind = op[0]
-        if kind == "swap":
-            _, i, j = op
-            for row in m:
-                row[i], row[j] = row[j], row[i]
-        elif kind == "addmul":
-            _, dst, src, poly = op
-            f = RationalFn(poly)
-            for row in m:
-                row[dst] = row[dst] + f * row[src]
-        elif kind == "mix":
-            _, i, j, a, b, c, d = op
-            fa, fb, fc, fd = (RationalFn(x) for x in (a, b, c, d))
-            for row in m:
-                x, y = row[i], row[j]
-                row[i] = fa * x + fb * y
-                row[j] = fc * x + fd * y
-        else:
-            _, j, c = op
-            f = RationalFn(Poly.constant(c))
-            for row in m:
-                row[j] = f * row[j]
-    return RationalMatrix(m)
+        n.col_op(op)
+    return RationalMatrix([[RationalFn(x, d) for x in row] for row in n.m])
 
 
 def _lowest_degree_pivot(m, t, p, q):
@@ -372,52 +314,26 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
     the recorded operation sequence is deterministic.
     """
     p, q = g.shape
-    d = POLY_ONE
-    for row in g.entries:
-        for e in row:
-            d = d.lcm(e.den)
-    n = _PolyMat(
-        [[(e.num * (d // e.den)) for e in row] for row in g.entries]
-    )
+    n, d = _numerator(g)
     left_ops, right_ops = [], []
 
-    def row_swap(i, j):
-        if i != j:
-            n.swap_rows(i, j)
-            left_ops.append(("swap", i, j))
+    def row_op(*op):
+        n.row_op(op)
+        left_ops.append(op)
 
-    def col_swap(i, j):
-        if i != j:
-            n.swap_cols(i, j)
-            right_ops.append(("swap", i, j))
-
-    def row_addmul(dst, src, poly):
-        if not poly.is_zero():
-            n.addmul_row(dst, src, poly)
-            left_ops.append(("addmul", dst, src, poly))
-
-    def col_addmul(dst, src, poly):
-        if not poly.is_zero():
-            n.addmul_col(dst, src, poly)
-            right_ops.append(("addmul", dst, src, poly))
-
-    def row_scale(i, c):
-        n.scale_row(i, c)
-        left_ops.append(("scale", i, c))
-
-    def col_scale(j, c):
-        n.scale_col(j, c)
-        right_ops.append(("scale", j, c))
+    def col_op(*op):
+        n.col_op(op)
+        right_ops.append(op)
 
     def row_normalize(i):
-        c = _content(n.m[i])
+        c = content(n.m[i])
         if c is not None and c != 1:
-            row_scale(i, GaussianRational(1 / c))
+            row_op("scale", i, GaussianRational(1 / c))
 
     def col_normalize(j):
-        c = _content(row[j] for row in n.m)
+        c = content(row[j] for row in n.m)
         if c is not None and c != 1:
-            col_scale(j, GaussianRational(1 / c))
+            col_op("scale", j, GaussianRational(1 / c))
 
     def row_mix(i, t):
         """Replace the pivot by gcd(pivot, n[i][t]) and zero n[i][t] with a
@@ -426,8 +342,7 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
         g, uu, vv = pivot.ext_gcd(e)
         a, b = uu, vv
         c, d_ = -(e // g), pivot // g
-        n.mix_rows(t, i, a, b, c, d_)
-        left_ops.append(("mix", t, i, a, b, c, d_))
+        row_op("mix", t, i, a, b, c, d_)
         row_normalize(t)
         row_normalize(i)
 
@@ -436,8 +351,7 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
         g, uu, vv = pivot.ext_gcd(e)
         a, b = uu, vv
         c, d_ = -(e // g), pivot // g
-        n.mix_cols(t, j, a, b, c, d_)
-        right_ops.append(("mix", t, j, a, b, c, d_))
+        col_op("mix", t, j, a, b, c, d_)
         col_normalize(t)
         col_normalize(j)
 
@@ -449,8 +363,10 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
         pos = _lowest_degree_pivot(n, t, p, q)
         if pos is None:
             break
-        row_swap(t, pos[0])
-        col_swap(t, pos[1])
+        if pos[0] != t:
+            row_op("swap", t, pos[0])
+        if pos[1] != t:
+            col_op("swap", t, pos[1])
         while True:
             # column sweep: divisible entries are cleared by a plain row
             # operation, the rest by a Bezout mix that shrinks the pivot
@@ -459,7 +375,7 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
                 if e.is_zero():
                     continue
                 if n.m[t][t].divides(e):
-                    row_addmul(i, t, -(e // n.m[t][t]))
+                    row_op("addmul", i, t, -(e // n.m[t][t]))
                     row_normalize(i)
                 else:
                     row_mix(i, t)
@@ -470,7 +386,7 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
                 if e.is_zero():
                     continue
                 if n.m[t][t].divides(e):
-                    col_addmul(j, t, -(e // n.m[t][t]))
+                    col_op("addmul", j, t, -(e // n.m[t][t]))
                     col_normalize(j)
                 else:
                     col_mix(j, t)
@@ -489,7 +405,7 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
                     break
             if offender is None:
                 break
-            row_addmul(t, offender, POLY_ONE)
+            row_op("addmul", t, offender, POLY_ONE)
         t += 1
 
     alphas, betas = [], []
@@ -497,7 +413,7 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
         fn = RationalFn(n.m[i][i], d)
         lc = fn.num.leading()
         if lc != GR_ONE:
-            row_scale(i, GR_ONE / lc)
+            row_op("scale", i, GR_ONE / lc)
         alphas.append(fn.num.monic())
         betas.append(fn.den)
     return SmithMcMillanForm(

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["SpectrumReport", "cluster_values", "multiset_match"]
 
@@ -52,6 +51,9 @@ def multiset_match(avals, bvals, tol):
         return None
     if not a:
         return []
+    # imported here so that import lqsys does not load scipy
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.array([[abs(x - y) for y in b] for x in a])
     rows, cols = linear_sum_assignment(cost)
     pairs = []

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import exactlinalg as xl
 from .errors import NumericalError, ParameterError, RealizabilityError
@@ -107,6 +106,8 @@ def invariant_zeros_pencil(ss: StateSpace, tol=1e-9) -> SpectrumReport:
         return SpectrumReport.from_values(
             [], tol=tol, method="pencil", notes=("singular-feedthrough",)
         )
+    import scipy.linalg  # here so that import lqsys does not load scipy
+
     raw = scipy.linalg.eig(pencil.p0, pencil.e, right=False)
     finite = [complex(z) for z in raw if np.isfinite(z)]
     nrank = normalrank(ss, tol)

@@ -27,6 +27,58 @@ def diag_fn(*entries):
     )
 
 
+def replay_entrywise(g, left_ops, right_ops):
+    """Reference replay: every recorded operation applied to the rational
+    entries of G directly, one RationalFn operation per entry."""
+    m = [list(row) for row in g.entries]
+
+    def rows_op(op):
+        kind = op[0]
+        if kind == "swap":
+            _, i, j = op
+            m[i], m[j] = m[j], m[i]
+        elif kind == "addmul":
+            _, dst, src, poly = op
+            f = RationalFn(poly)
+            m[dst] = [x + f * y for x, y in zip(m[dst], m[src])]
+        elif kind == "mix":
+            _, i, j, a, b, c, d = op
+            fa, fb, fc, fd = (RationalFn(x) for x in (a, b, c, d))
+            ri, rj = m[i], m[j]
+            m[i] = [fa * x + fb * y for x, y in zip(ri, rj)]
+            m[j] = [fc * x + fd * y for x, y in zip(ri, rj)]
+        else:
+            _, i, c = op
+            m[i] = [RationalFn(Poly.constant(c)) * x for x in m[i]]
+
+    for op in left_ops:
+        rows_op(op)
+    # a column operation is the row operation on the transpose
+    m = [list(col) for col in zip(*m)]
+    for op in right_ops:
+        rows_op(op)
+    return RationalMatrix(list(zip(*m)))
+
+
+def check_round_trip_and_chains(params):
+    g = transfer_matrix_exact(build_state_space(params))
+    smf = smith_mcmillan(g)
+    # recorded operations reconstruct the diagonal exactly, the numerator
+    # replay agrees with the entrywise one, and L G R is the diagonal
+    replay = apply_operations(g, smf.left_ops, smf.right_ops)
+    assert replay == smf.diagonal()
+    assert replay == replay_entrywise(g, smf.left_ops, smf.right_ops)
+    assert smf.left_matrix() @ g @ smf.right_matrix() == smf.diagonal()
+    # divisibility chains, coprimality, monicity
+    for i in range(smf.rank - 1):
+        assert smf.alphas[i].divides(smf.alphas[i + 1])
+        assert smf.betas[i + 1].divides(smf.betas[i])
+    for a, b in zip(smf.alphas, smf.betas):
+        assert a.gcd(b) == Poly([1])
+        assert a.is_zero() or a.leading() == GaussianRational(1)
+        assert b.leading() == GaussianRational(1)
+
+
 class TestTransferMatrixExact:
     def test_gain_system(self, gain):
         g = transfer_matrix_exact(gain)
@@ -94,19 +146,11 @@ class TestSmithMcMillan:
         "seed,n,m", [(0, 1, 1), (1, 2, 1), (2, 2, 2), (3, 3, 1), (4, 3, 2), (5, 1, 2)]
     )
     def test_random_round_trip_and_chains(self, seed, n, m):
-        ss = build_state_space(random_params(seed, n, m, exact=True))
-        g = transfer_matrix_exact(ss)
-        smf = smith_mcmillan(g)
-        # recorded operations reconstruct the diagonal exactly
-        assert apply_operations(g, smf.left_ops, smf.right_ops) == smf.diagonal()
-        # divisibility chains, coprimality, monicity
-        for i in range(smf.rank - 1):
-            assert smf.alphas[i].divides(smf.alphas[i + 1])
-            assert smf.betas[i + 1].divides(smf.betas[i])
-        for a, b in zip(smf.alphas, smf.betas):
-            assert a.gcd(b) == Poly([1])
-            assert a.is_zero() or a.leading() == GaussianRational(1)
-            assert b.leading() == GaussianRational(1)
+        check_round_trip_and_chains(random_params(seed, n, m, exact=True))
+
+    @pytest.mark.parametrize("seed,n,m", [(6, 2, 2), (7, 3, 2)])
+    def test_random_passive_round_trip_and_chains(self, seed, n, m):
+        check_round_trip_and_chains(random_params(seed, n, m, passive=True, exact=True))
 
     def test_rank_deficient_matrix(self):
         f = RationalFn(Poly([1]), S - 1)
