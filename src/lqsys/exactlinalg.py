@@ -27,6 +27,9 @@ __all__ = [
     "mat_block",
     "hermitian_t",
     "transpose",
+    "diag_exact",
+    "doubled_up_exact",
+    "signature_j_exact",
     "flat_adjoint_exact",
     "sharp_adjoint_exact",
     "mat_trace",
@@ -127,7 +130,23 @@ def hermitian_t(a):
     return [[a[i][j].conjugate() for i in range(r)] for j in range(c)]
 
 
-def _sig_j(k):
+def diag_exact(vals):
+    """Square exact matrix with ``vals`` on its diagonal."""
+    k = len(vals)
+    out = mat_zeros(k, k)
+    for i, v in enumerate(vals):
+        out[i][i] = GaussianRational.of(v)
+    return out
+
+
+def doubled_up_exact(u, v):
+    """[[U, V], [conj(V), conj(U)]], the exact twin of linalg.doubled_up."""
+    ubar = [[x.conjugate() for x in row] for row in u]
+    vbar = [[x.conjugate() for x in row] for row in v]
+    return mat_block([[u, v], [vbar, ubar]])
+
+
+def signature_j_exact(k):
     """diag(I_k, -I_k) as an exact matrix."""
     n = 2 * k
     out = mat_zeros(n, n)
@@ -151,7 +170,9 @@ def flat_adjoint_exact(a):
     r, c = shape(a)
     if r % 2 or c % 2:
         raise DimensionError("flat adjoint needs even dimensions")
-    return mat_mul(mat_mul(_sig_j(c // 2), hermitian_t(a)), _sig_j(r // 2))
+    return mat_mul(
+        mat_mul(signature_j_exact(c // 2), hermitian_t(a)), signature_j_exact(r // 2)
+    )
 
 
 def sharp_adjoint_exact(a):

@@ -149,7 +149,17 @@ def kalman_decompose(ss: StateSpace, tol=1e-9) -> KalmanReport:
 
     Quadrature systems are processed in real arithmetic so the minimal
     block stays a real (quadrature) realization.
+
+    The report is memoized on ``ss`` per ``tol``, so poles, transmission
+    zeros, theorem zeros, the pole-zero mirror and the invertibility
+    checks of one system share one decomposition; its arrays are
+    read-only.  A SubspaceToleranceError is not memoized and is raised
+    again on every call.
     """
+    return ss.memoized(("kalman", tol), lambda: _decompose(ss, tol))
+
+
+def _decompose(ss, tol):
     dtype = float if ss.representation == "quadrature" else complex
     a = ss.A.real.astype(float) if dtype is float else ss.A.astype(complex)
     b = ss.B.real.astype(float) if dtype is float else ss.B.astype(complex)
@@ -176,6 +186,7 @@ def kalman_decompose(ss: StateSpace, tol=1e-9) -> KalmanReport:
             f"(dim {ns}); adjust tol"
         )
     t = np.hstack([x1, x2, x3, x4])
+    t.setflags(write=False)
     a_t = np.linalg.solve(t, a @ t)
     b_t = np.linalg.solve(t, b) if b.size else b.copy()
     c_t = c @ t
@@ -184,13 +195,6 @@ def kalman_decompose(ss: StateSpace, tol=1e-9) -> KalmanReport:
     blocks = [
         a_t[edges[k] : edges[k + 1], edges[k] : edges[k + 1]] for k in range(4)
     ]
-    reps = [
-        SpectrumReport.from_values(
-            np.linalg.eigvals(blk) if blk.size else [], tol=tol, method="kalman"
-        )
-        for blk in blocks
-    ]
-
     s_co = slice(edges[1], edges[2])
     minimal = StateSpace(
         A=blocks[1],
@@ -200,6 +204,16 @@ def kalman_decompose(ss: StateSpace, tol=1e-9) -> KalmanReport:
         representation=ss.representation,
         exact=None,
     )
+    # the co block's eigenvalues are the poles: taking them through the
+    # minimal realization leaves them memoized where poles() reads them
+    reps = [
+        SpectrumReport.from_values(
+            minimal.eigenvalues() if k == 1 else np.linalg.eigvals(blk) if blk.size else [],
+            tol=tol,
+            method="kalman",
+        )
+        for k, blk in enumerate(blocks)
+    ]
     return KalmanReport(
         eig_c_obar=reps[0],
         eig_co=reps[1],

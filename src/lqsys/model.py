@@ -21,7 +21,7 @@ exact quadruple rides along with the floating one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -178,6 +178,13 @@ class StateSpace:
     may not, so evenness is enforced by the operations that need the
     doubled structure rather than here.  ``exact`` carries GaussianRational
     copies of the four matrices when the model was built from exact inputs.
+
+    The four arrays are private read-only copies: the caller's arrays stay
+    untouched, and writing into ``A``, ``B``, ``C`` or ``D`` raises
+    ValueError.  Because the matrices cannot change, results derived from
+    them (the eigenvalues of A, the Kalman decomposition at each
+    tolerance) are computed once and memoized on the object, and live and
+    die with it.
     """
 
     A: np.ndarray
@@ -186,6 +193,13 @@ class StateSpace:
     D: np.ndarray
     representation: str  # "annihilation" | "quadrature"
     exact: dict | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("A", "B", "C", "D"):
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_matrices(cls, A, B, C, D, representation="annihilation"):
@@ -235,6 +249,25 @@ class StateSpace:
     def is_exact(self):
         return self.exact is not None
 
+    def memoized(self, key, compute):
+        """``compute()``, run on the first call for ``key`` and then
+        returned from this system's memo.  An exception is not stored, so
+        it is raised again on every call."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    def eigenvalues(self):
+        """Eigenvalues of A as a read-only array, computed once."""
+
+        def compute():
+            vals = np.linalg.eigvals(self.A)
+            vals.setflags(write=False)
+            return vals
+
+        return self.memoized("eigenvalues", compute)
+
     def real_matrices(self):
         """(A, B, C, D) as real arrays; only valid for quadrature systems."""
         if self.representation != "quadrature":
@@ -256,12 +289,12 @@ def build_state_space(params: QSystemParams) -> StateSpace:
     exact = None
     if params.is_exact:
         ex = params.exact
-        omega_x = _doubled_up_exact(ex["omega_minus"], ex["omega_plus"])
-        c_x = _doubled_up_exact(ex["c_minus"], ex["c_plus"])
+        omega_x = xl.doubled_up_exact(ex["omega_minus"], ex["omega_plus"])
+        c_x = xl.doubled_up_exact(ex["c_minus"], ex["c_plus"])
         d_x = xl.mat_eye(2 * m)
         cflat_x = xl.flat_adjoint_exact(c_x)
         b_x = xl.mat_neg(xl.mat_mul(cflat_x, d_x))
-        jn = _signature_exact(n)
+        jn = xl.signature_j_exact(n)
         a_x = xl.mat_sub(
             xl.mat_scale(GaussianRational(0, -1), xl.mat_mul(jn, omega_x)),
             xl.mat_scale(Fraction(1, 2), xl.mat_mul(cflat_x, c_x)),
@@ -273,19 +306,6 @@ def build_state_space(params: QSystemParams) -> StateSpace:
         A=a, B=b, C=c, D=d,
         representation="annihilation", exact=exact,
     )
-
-
-def _doubled_up_exact(u, v):
-    ubar = [[x.conjugate() for x in row] for row in u]
-    vbar = [[x.conjugate() for x in row] for row in v]
-    return xl.mat_block([[u, v], [vbar, ubar]])
-
-
-def _signature_exact(k):
-    out = xl.mat_eye(2 * k)
-    for i in range(k, 2 * k):
-        out[i][i] = -out[i][i]
-    return out
 
 
 @dataclass(frozen=True)
@@ -387,10 +407,15 @@ def _quadrature_exact(x):
 
 
 def frequency_response(ss: StateSpace, s, pole_tol=1e-9):
-    """D + C (sI - A)^-1 B via a linear solve (no explicit inverse)."""
+    """D + C (sI - A)^-1 B via a linear solve (no explicit inverse).
+
+    Raises PoleEvaluationError when s is within ``pole_tol`` of an
+    eigenvalue of A; the eigenvalues come from ``ss.eigenvalues()``, so a
+    sweep over many points computes them once.
+    """
     s = complex(s)
     if ss.A.shape[0]:
-        eigs = np.linalg.eigvals(ss.A)
+        eigs = ss.eigenvalues()
         dist = np.abs(eigs - s)
         k = int(np.argmin(dist))
         if dist[k] <= pole_tol * max(1.0, abs(eigs[k])):
@@ -535,7 +560,7 @@ def with_lossless_modes(params: QSystemParams, freqs) -> QSystemParams:
         om = xl.mat_block(
             [
                 [ex["omega_minus"], xl.mat_zeros(n, k)],
-                [xl.mat_zeros(k, n), _exact_diag(freqs)],
+                [xl.mat_zeros(k, n), xl.diag_exact(freqs)],
             ]
         )
         op = xl.mat_block(
@@ -565,14 +590,6 @@ def with_lossless_modes(params: QSystemParams, freqs) -> QSystemParams:
     cm = np.hstack([params.c_minus, np.zeros((m, k))])
     cp = np.hstack([params.c_plus, np.zeros((m, k))])
     return QSystemParams.create(om, op, cm, cp)
-
-
-def _exact_diag(vals):
-    k = len(vals)
-    out = xl.mat_zeros(k, k)
-    for i, v in enumerate(vals):
-        out[i][i] = GaussianRational.of(v)
-    return out
 
 
 def passive_cavity(omega=1, kappa=2) -> QSystemParams:

@@ -178,9 +178,17 @@ class GaussianRational:
 
     def __eq__(self, other):
         if type(other) is not GaussianRational:
+            # Equal values must hash alike.  Real ints, Fractions, floats
+            # and complex numbers hash like the Fraction that ``__hash__``
+            # uses; a str or a non-real complex does not, so neither is
+            # coerced and neither compares equal.
+            if isinstance(other, complex) and not other.imag:
+                other = other.real
+            if not isinstance(other, (int, Fraction, float)):
+                return NotImplemented
             try:
-                other = GaussianRational.of(other)
-            except (ExactnessError, TypeError):
+                other = GaussianRational(other)
+            except (ValueError, OverflowError):  # nan and infinities
                 return NotImplemented
         return self._x == other._x and self._y == other._y and self._q == other._q
 

@@ -157,16 +157,16 @@ def poles(system, tol=1e-9) -> SpectrumReport:
 
     For a StateSpace this is the eigenvalue multiset of the minimal
     realization's A (the pole polynomial of a minimal realization is its
-    characteristic polynomial); for a RationalMatrix it is read off the
-    Smith-McMillan denominators.
+    characteristic polynomial), read from the memoized Kalman minimal
+    block and its memoized eigenvalues; for a RationalMatrix it is read
+    off the Smith-McMillan denominators.
     """
     g = _as_rational_matrix(system)
     if g is not None:
         _, pole_rep = zeros_poles_from_smf(smith_mcmillan(g), tol)
         return pole_rep
     mini = minimal_realization(system, tol)
-    vals = np.linalg.eigvals(mini.A) if mini.A.size else []
-    return SpectrumReport.from_values(vals, tol=tol, method="minimal")
+    return SpectrumReport.from_values(mini.eigenvalues(), tol=tol, method="minimal")
 
 
 def transmission_zeros(system, tol=1e-9) -> SpectrumReport:

@@ -122,6 +122,42 @@ def test_complex_hash_is_the_pair_hash(a):
         assert hash(z) == hash(a)
 
 
+def _same_value_operands(a):
+    """The value of pair ``a`` written as each operand type it may meet."""
+    re, im = a
+    out = [re, float(re), complex(float(re), float(im)), str(re), str(gr(a))]
+    if re.denominator == 1:
+        out.append(int(re))
+    return out
+
+
+@prop
+@given(
+    pairs,
+    st.one_of(
+        st.integers(), fractions, st.floats(), st.complex_numbers(), st.text(max_size=6)
+    ),
+)
+def test_equal_operands_hash_alike(a, other):
+    z = gr(a)
+    for b in [other, *_same_value_operands(a)]:
+        assert (z == b) == (b == z)
+        if z == b:
+            assert hash(z) == hash(b)
+    if not a[1]:
+        assert z == a[0]  # so the implication above is not vacuous
+
+
+def test_strings_and_non_real_complex_never_compare_equal():
+    half = GaussianRational("1/2")
+    assert half != "1/2" and "1/2" != half
+    assert len({half, "1/2"}) == 2
+    assert GaussianRational(1, 2) != 1 + 2j
+    assert len({GaussianRational(1, 2), 1 + 2j}) == 2
+    assert half == 0.5 == half and half == 0.5 + 0j
+    assert len({half, 0.5, 0.5 + 0j, Fraction(1, 2)}) == 1
+
+
 def test_zero_is_canonical():
     z = GaussianRational(Fraction(3, 4)) - Fraction(3, 4)
     assert (z._x, z._y, z._q) == (0, 0, 1)
