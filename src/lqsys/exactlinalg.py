@@ -1,16 +1,21 @@
 """Dense exact matrices over Q(i): plain list-of-list helpers.
 
 Sizes here are tiny (a handful of modes), so simple algorithms are used
-throughout: Gaussian elimination for determinants, Faddeev-LeVerrier for
-characteristic polynomials, Lagrange interpolation for pencil determinants.
+throughout: Bareiss fraction-free elimination for determinants,
+Faddeev-LeVerrier for characteristic polynomials, Lagrange interpolation
+for pencil determinants.  Products and determinants scale each matrix to
+Gaussian integers over one common denominator and run on Python ints,
+normalizing each result entry once.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 import numpy as np
 
 from .errors import DimensionError, ExactnessError
-from .rational import GR_ONE, GR_ZERO, GaussianRational, Poly
+from .rational import GR_ONE, GR_ZERO, GaussianRational, Poly, _gr
 
 __all__ = [
     "exact_matrix",
@@ -94,19 +99,38 @@ def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
 
 
+def _scaled_ints(a):
+    """(xs, ys, q): int matrices with xs + ys*i = q*a, q the least common
+    denominator of the entries of a."""
+    q = lcm(*[x._q for row in a for x in row])
+    xs = [[x._x * (q // x._q) for x in row] for row in a]
+    ys = [[x._y * (q // x._q) for x in row] for row in a]
+    return xs, ys, q
+
+
 def mat_mul(a, b):
+    """Product over one common denominator per factor: an integer triple
+    loop, and one gcd per entry of the result."""
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise DimensionError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    out = mat_zeros(ra, cb)
-    for i in range(ra):
-        for k in range(ca):
-            x = a[i][k]
-            if x.is_zero():
-                continue
-            for j in range(cb):
-                out[i][j] = out[i][j] + x * b[k][j]
+    ax, ay, qa = _scaled_ints(a)
+    bx, by, qb = _scaled_ints(b)
+    q = qa * qb
+    cols = [list(zip(cx, cy)) for cx, cy in zip(zip(*bx), zip(*by))]
+    out = []
+    for rx, ry in zip(ax, ay):
+        terms = [(k, x1, y1) for k, (x1, y1) in enumerate(zip(rx, ry)) if x1 or y1]
+        row = []
+        for col in cols:
+            sx = sy = 0
+            for k, x1, y1 in terms:
+                x2, y2 = col[k]
+                sx += x1 * x2 - y1 * y2
+                sy += x1 * y2 + y1 * x2
+            row.append(_gr(sx, sy, q))
+        out.append(row)
     return out
 
 
@@ -196,31 +220,54 @@ def mat_trace(a):
     return t
 
 
+def _bareiss(mx, my):
+    """Determinant (x, y) of the Gaussian-integer matrix mx + my*i by Bareiss
+    elimination, overwriting both.  Each step divides exactly by the
+    previous pivot (Sylvester's identity), so every intermediate entry is a
+    minor of the input; rows are swapped when a pivot vanishes."""
+    r = len(mx)
+    sign = 1
+    px, py = 1, 0  # previous pivot
+    for k in range(r):
+        piv = next((i for i in range(k, r) if mx[i][k] or my[i][k]), None)
+        if piv is None:
+            return 0, 0
+        if piv != k:
+            mx[k], mx[piv] = mx[piv], mx[k]
+            my[k], my[piv] = my[piv], my[k]
+            sign = -sign
+        kx, ky, krx, kry = mx[k][k], my[k][k], mx[k], my[k]
+        norm = px * px + py * py
+        for i in range(k + 1, r):
+            rx, ry = mx[i], my[i]
+            ix, iy = rx[k], ry[k]
+            for j in range(k + 1, r):
+                # (m[i][j]*m[k][k] - m[i][k]*m[k][j]) / previous pivot
+                xj, yj, x2, y2 = rx[j], ry[j], krx[j], kry[j]
+                tx = xj * kx - yj * ky - ix * x2 + iy * y2
+                ty = xj * ky + yj * kx - ix * y2 - iy * x2
+                if py:
+                    rx[j] = (tx * px + ty * py) // norm
+                    ry[j] = (ty * px - tx * py) // norm
+                else:
+                    rx[j] = tx // px
+                    ry[j] = ty // px
+        px, py = kx, ky
+    return sign * px, sign * py
+
+
 def det_exact(a):
-    """Determinant by fraction-free-ish Gaussian elimination with pivoting."""
+    """Determinant by Bareiss elimination over the Gaussian integers: the
+    matrix is scaled to Gaussian integers over one common denominator q,
+    and det/q^n is normalized once."""
     r, c = shape(a)
     if r != c:
         raise DimensionError("determinant needs a square matrix")
     if r == 0:
         return GR_ONE
-    m = [row[:] for row in a]
-    det = GR_ONE
-    for col in range(r):
-        pivot = next((i for i in range(col, r) if not m[i][col].is_zero()), None)
-        if pivot is None:
-            return GR_ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        p = m[col][col]
-        det = det * p
-        for i in range(col + 1, r):
-            f = m[i][col] / p
-            if f.is_zero():
-                continue
-            for j in range(col, r):
-                m[i][j] = m[i][j] - f * m[col][j]
-    return det
+    mx, my, q = _scaled_ints(a)
+    dx, dy = _bareiss(mx, my)
+    return _gr(dx, dy, q**r)
 
 
 def charpoly(a):
@@ -242,23 +289,34 @@ def charpoly(a):
         ck = -(mat_trace(am) / GaussianRational.of(k))
         coeffs[n - k] = ck
         if k < n:
-            m = mat_add(am, mat_scale(ck, mat_eye(n)))
+            m = am
+            for i in range(n):
+                m[i][i] = m[i][i] + ck
     return Poly(coeffs), m_terms
 
 
 def pencil_det(p0, e):
     """det(p0 - s*e) as an exact Poly, by evaluation at integer points and
     Lagrange interpolation.  The degree cannot exceed the number of
-    nonzero rows of e, which bounds the number of sample points needed."""
+    nonzero rows of e, which bounds the number of sample points needed.
+    Each sample is a Bareiss determinant of the Gaussian-integer matrix
+    (p0*qe - k*e*qp)/(qp*qe), with qp and qe the common denominators."""
     n, c = shape(p0)
     if shape(e) != (n, c) or n != c:
         raise DimensionError("pencil blocks must be square and same shape")
     if n == 0:
         return Poly([1])
     deg = sum(1 for row in e if any(not x.is_zero() for x in row))
-    pts = [GaussianRational.of(k) for k in range(deg + 1)]
-    vals = [det_exact(mat_sub(p0, mat_scale(s, e))) for s in pts]
-    return _lagrange(pts, vals)
+    px, py, qp = _scaled_ints(p0)
+    ex, ey, qe = _scaled_ints(e)
+    den = (qp * qe) ** n
+    vals = []
+    for k in range(deg + 1):
+        kq = k * qp
+        mx = [[x * qe - kq * y for x, y in zip(r0, r1)] for r0, r1 in zip(px, ex)]
+        my = [[x * qe - kq * y for x, y in zip(r0, r1)] for r0, r1 in zip(py, ey)]
+        vals.append(_gr(*_bareiss(mx, my), den))
+    return _lagrange([GaussianRational(k) for k in range(deg + 1)], vals)
 
 
 def _lagrange(xs, ys):

@@ -6,12 +6,15 @@ A Gaussian rational is stored as three Python ints (x, y, q) meaning
 (0, 0, 1).  Equal values therefore have equal fields, and each operation
 costs one integer gcd instead of a handful of Fraction objects.
 
-Polynomials are coefficient lists, lowest degree first; the zero polynomial
-is the empty list.  Rational functions keep gcd(num, den) = 1 with a monic
-denominator.  These types back every canonical-form computation (Smith and
-Smith-McMillan reductions are ill-posed in floating point), so all
-operations here are exact; conversion to complex floats happens only on the
-way out.
+A polynomial extends the same form: Gaussian-integer coefficient lists xs,
+ys (lowest degree first) over one positive denominator q, trailing zero
+coefficients trimmed and gcd(q, *xs, *ys) = 1, so the zero polynomial is
+([], [], 1).  Products, sums and long division run on Python ints and are
+normalized once per result.  Rational functions keep gcd(num, den) = 1 with
+a monic denominator.  These types back every canonical-form computation
+(Smith and Smith-McMillan reductions are ill-posed in floating point), so
+all operations here are exact; conversion to complex floats happens only on
+the way out.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ExactnessError, ParameterError
+from .errors import ExactnessError, ParameterError, PoleEvaluationError
 
 __all__ = ["GaussianRational", "Poly", "RationalFn", "GR_ZERO", "GR_ONE", "GR_I"]
 
@@ -225,39 +228,120 @@ def content(polys):
     """Positive rational c with every coefficient of ``polys`` divided by c
     having integral, coprime real and imaginary parts; None when all are
     zero.  Dividing a row or column by its content keeps coefficient sizes
-    bounded during the Smith reduction.  Each (x + y*i)/q contributes
-    gcd(x, y)/q, already reduced; zero is (0, 0, 1) and contributes nothing."""
+    bounded during the Smith reduction.  A polynomial (xs + ys*i)/q
+    contributes gcd(*xs, *ys)/q, already reduced; zero contributes nothing."""
     num_gcd = 0
     den_lcm = 1
     for p in polys:
-        for c in p.coeffs:
-            num_gcd = gcd(num_gcd, c._x, c._y)
-            den_lcm = lcm(den_lcm, c._q)
+        if p._xs:
+            num_gcd = gcd(num_gcd, *p._xs, *p._ys)
+            den_lcm = lcm(den_lcm, p._q)
     if num_gcd == 0:
         return None
     return Fraction(num_gcd, den_lcm)
 
 
+def _raw(xs, ys, q):
+    """The Poly with fields (xs, ys, q), already canonical."""
+    p = _new(Poly)
+    p._xs = xs
+    p._ys = ys
+    p._q = q
+    return p
+
+
+def _poly(xs, ys, q):
+    """The Poly (xs + ys*i)/q from int lists of equal length and q > 0:
+    trailing zeros are trimmed and gcd(q, *xs, *ys) divided out."""
+    n = len(xs)
+    while n and not xs[n - 1] and not ys[n - 1]:
+        n -= 1
+    if not n:
+        return POLY_ZERO
+    if n < len(xs):
+        xs, ys = xs[:n], ys[:n]
+    if q != 1:
+        g = gcd(q, *xs, *ys)
+        if g != 1:
+            xs = [x // g for x in xs]
+            ys = [y // g for y in ys]
+            q //= g
+    return _raw(xs, ys, q)
+
+
+def _from_parts(xs, ys, qs):
+    """The Poly whose k-th coefficient is (xs[k] + ys[k]*i)/qs[k]."""
+    q = lcm(*qs)
+    return _poly(
+        [x * (q // d) for x, d in zip(xs, qs)],
+        [y * (q // d) for y, d in zip(ys, qs)],
+        q,
+    )
+
+
+# A ring map from the Gaussian integers onto GF(_P), i -> _I_MOD: _P is a
+# prime = 1 (mod 4) and _I_MOD^2 = -1 (mod _P).
+_P = 1000000009
+_I_MOD = 569522298
+
+
+def _coprime_mod_p(a, b):
+    """True when the nonzero Polys a and b are certainly coprime: their
+    images in GF(_P)[s] keep their degrees and have a constant gcd, and
+    that degree bounds the degree of the true gcd from above."""
+    fa = [(x + _I_MOD * y) % _P for x, y in zip(a._xs, a._ys)]
+    fb = [(x + _I_MOD * y) % _P for x, y in zip(b._xs, b._ys)]
+    if not fa[-1] or not fb[-1]:
+        return False
+    while fb:
+        inv = pow(fb[-1], -1, _P)
+        nb = len(fb) - 1
+        while len(fa) > nb:
+            c = fa.pop() * inv % _P
+            k = len(fa) - nb
+            for j in range(nb):
+                fa[k + j] = (fa[k + j] - c * fb[j]) % _P
+            while fa and not fa[-1]:
+                fa.pop()
+        fa, fb = fb, fa
+    return len(fa) == 1
+
+
 class Poly:
     """Polynomial in s over Q(i); coefficients lowest degree first.
 
-    The zero polynomial has an empty coefficient tuple and degree -1.
+    Stored as Gaussian-integer coefficient lists over one denominator:
+    int lists xs, ys and an int q > 0 mean the coefficients
+    (xs[k] + ys[k]*i)/q.  The form is canonical: trailing zero
+    coefficients are trimmed and gcd(q, *xs, *ys) = 1, so the zero
+    polynomial is ([], [], 1) with degree -1, equal polynomials have equal
+    fields, and each arithmetic result is normalized by one gcd instead of
+    one per coefficient.  ``coeffs`` is the tuple of GaussianRational
+    coefficients, built on first use and kept; the complex coefficients
+    used by float evaluation are kept the same way.  Values are immutable:
+    the fields are private and no method writes them after construction.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_xs", "_ys", "_q", "_cs", "_cz")
 
     def __init__(self, coeffs=()):
         cs = [GaussianRational.of(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Poly is immutable")
+        q = lcm(*[c._q for c in cs])
+        # canonical already: a prime dividing q divides the denominator of
+        # some reduced coefficient exactly as often, and not its numerator
+        self._xs = [c._x * (q // c._q) for c in cs]
+        self._ys = [c._y * (q // c._q) for c in cs]
+        self._q = q
+        self._cs = tuple(cs)
 
     @classmethod
     def constant(cls, c):
-        return cls([GaussianRational.of(c)])
+        c = GaussianRational.of(c)
+        if not c:
+            return POLY_ZERO
+        return _raw([c._x], [c._y], c._q)
 
     @classmethod
     def s(cls):
@@ -274,91 +358,183 @@ class Poly:
     # -- structure --------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The coefficients as a tuple of GaussianRational."""
+        try:
+            return self._cs
+        except AttributeError:
+            q = self._q
+            self._cs = tuple([_gr(x, y, q) for x, y in zip(self._xs, self._ys)])
+            return self._cs
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._xs) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._xs
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self._xs) <= 1
 
     def is_one(self):
-        return len(self.coeffs) == 1 and self.coeffs[0] == GR_ONE
+        return self._xs == [1] and self._ys == [0] and self._q == 1
 
     def leading(self):
-        if not self.coeffs:
+        if not self._xs:
             return GR_ZERO
-        return self.coeffs[-1]
+        return _gr(self._xs[-1], self._ys[-1], self._q)
 
     def monic(self):
-        if self.is_zero():
+        xs, ys = self._xs, self._ys
+        if not xs:
             return self
-        lc = self.leading()
-        if lc == GR_ONE:
+        lx, ly = xs[-1], ys[-1]
+        if lx == self._q and not ly:
             return self
-        return Poly([c / lc for c in self.coeffs])
+        # p / ((lx + ly*i)/q) = (xs + ys*i)(lx - ly*i) / (lx^2 + ly^2)
+        return _poly(
+            [x * lx + y * ly for x, y in zip(xs, ys)],
+            [y * lx - x * ly for x, y in zip(xs, ys)],
+            lx * lx + ly * ly,
+        )
 
     # -- arithmetic -------------------------------------------------------
 
+    def _combine(self, o, sign):
+        """self + sign*o over the least common denominator."""
+        ax, ay, bx, by = self._xs, self._ys, o._xs, o._ys
+        q1, q2 = self._q, o._q
+        m1, m2 = 1, sign
+        if q1 != q2:
+            g = gcd(q1, q2)
+            m1, m2 = q2 // g, sign * (q1 // g)
+            q1 *= m1
+        n = max(len(ax), len(bx))
+        xs, ys = [0] * n, [0] * n
+        for k, (x, y) in enumerate(zip(ax, ay)):
+            xs[k] = x * m1
+            ys[k] = y * m1
+        for k, (x, y) in enumerate(zip(bx, by)):
+            xs[k] += x * m2
+            ys[k] += y * m2
+        return _poly(xs, ys, q1)
+
     def __add__(self, other):
         o = other if isinstance(other, Poly) else Poly.constant(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [GR_ZERO] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [GR_ZERO] * (n - len(o.coeffs))
-        return Poly([x + y for x, y in zip(a, b)])
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _raw([-x for x in self._xs], [-y for y in self._ys], self._q)
 
     def __sub__(self, other):
         o = other if isinstance(other, Poly) else Poly.constant(other)
-        return self + (-o)
+        return self._combine(o, -1)
 
     def __rsub__(self, other):
-        return Poly.constant(other) + (-self)
+        return Poly.constant(other)._combine(self, -1)
+
+    def _scaled(self, c):
+        """self * c for a GaussianRational c."""
+        cx, cy = c._x, c._y
+        if not cx and not cy:
+            return POLY_ZERO
+        xs, ys = self._xs, self._ys
+        if cy:
+            return _poly(
+                [x * cx - y * cy for x, y in zip(xs, ys)],
+                [x * cy + y * cx for x, y in zip(xs, ys)],
+                self._q * c._q,
+            )
+        return _poly([x * cx for x in xs], [y * cx for y in ys], self._q * c._q)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.constant(other)
-        if self.is_zero() or other.is_zero():
+            return self._scaled(GaussianRational.of(other))
+        ax, ay, bx, by = self._xs, self._ys, other._xs, other._ys
+        if not ax or not bx:
             return POLY_ZERO
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        n = len(ax) + len(bx) - 1
+        xs, ys = [0] * n, [0] * n
+        b = list(enumerate(zip(bx, by)))
+        for i, (x1, y1) in enumerate(zip(ax, ay)):
+            if y1:
+                for j, (x2, y2) in b:
+                    xs[i + j] += x1 * x2 - y1 * y2
+                    ys[i + j] += x1 * y2 + y1 * x2
+            elif x1:
+                for j, (x2, y2) in b:
+                    xs[i + j] += x1 * x2
+                    ys[i + j] += x1 * y2
+        return _poly(xs, ys, self._q * other._q)
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.constant(other)
-        if other.is_zero():
+    def _divide(self, b):
+        """Long division by ``b``, a nonzero Poly or scalar: (quotient parts
+        for ``_from_parts``, remainder), or (None, self) when deg self <
+        deg b.
+
+        With l the Gaussian-integer leading coefficient of b, each step
+        multiplies the remainder by the positive integer m = l*cl, where
+        cl = conj(l), or sign(l) when l is real, and subtracts t*cl*b*s^k,
+        t the remainder's top coefficient; the top cancels.  The working
+        remainder stays an integer vector over one denominator whose content
+        is divided out after every step, so its coefficients do not grow."""
+        if not isinstance(b, Poly):
+            b = Poly.constant(b)
+        bx, by, qb = b._xs, b._ys, b._q
+        dd = len(bx) - 1
+        if dd < 0:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return POLY_ZERO, self
-        rem = list(self.coeffs)
-        dlc = other.leading()
-        dd = other.degree
-        q = [GR_ZERO] * (self.degree - dd + 1)
-        for k in range(len(q) - 1, -1, -1):
-            c = rem[dd + k] / dlc
-            q[k] = c
-            if not c.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    rem[j + k] = rem[j + k] - c * b
-        return Poly(q), Poly(rem[:dd])
+        steps = len(self._xs) - dd
+        if steps <= 0:
+            return None, self
+        lx, ly = bx[-1], by[-1]
+        if ly:
+            cx, cy, m = lx, -ly, lx * lx + ly * ly
+        else:
+            cx, cy, m = (1 if lx > 0 else -1), 0, abs(lx)
+        rx, ry, rq = list(self._xs), list(self._ys), self._q
+        qx, qy, qd = [0] * steps, [0] * steps, [1] * steps
+        for k in range(steps - 1, -1, -1):
+            top = dd + k
+            tx, ty = rx[top], ry[top]
+            del rx[top], ry[top]
+            if not tx and not ty:
+                continue
+            tx, ty = tx * cx - ty * cy, tx * cy + ty * cx
+            # quotient coefficient t/(l/qb) = t*cl*qb/(rq*m)
+            qx[k], qy[k], qd[k] = tx * qb, ty * qb, rq * m
+            if m != 1:
+                rx = [x * m for x in rx]
+                ry = [y * m for y in ry]
+                rq *= m
+            for j in range(dd):
+                x2, y2 = bx[j], by[j]
+                rx[k + j] -= tx * x2 - ty * y2
+                ry[k + j] -= tx * y2 + ty * x2
+            if m != 1:
+                g = gcd(rq, *rx, *ry)
+                if g != 1:
+                    rx = [x // g for x in rx]
+                    ry = [y // g for y in ry]
+                    rq //= g
+        return (qx, qy, qd), _poly(rx, ry, rq)
+
+    def __divmod__(self, other):
+        parts, rem = self._divide(other)
+        if parts is None:
+            return POLY_ZERO, rem
+        return _from_parts(*parts), rem
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        return self._divide(other)[1]
 
     def divides(self, other):
         """True when self divides other exactly (zero divides only zero)."""
@@ -379,55 +555,81 @@ class Poly:
         return out
 
     def gcd(self, other):
-        """Monic greatest common divisor (Euclid); gcd(a, 0) = monic(a)."""
+        """Monic greatest common divisor (Euclid); gcd(a, 0) = monic(a).
+        Coprime pairs, the common case, are mostly settled by the cheap
+        test modulo a prime, ``_coprime_mod_p``."""
+        if self._xs and other._xs and _coprime_mod_p(self, other):
+            return POLY_ONE
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
 
     def ext_gcd(self, other):
-        """(g, u, v) with u*self + v*other = g, g the monic gcd."""
+        """(g, u, v) with u*self + v*other = g, g the monic gcd.
+
+        Euclid's sequence carries one cofactor only, that of the operand of
+        larger degree (its own degree is the smaller one); the other follows
+        from u*self + v*other = g by one exact division."""
+        track_u = self.degree > other.degree
         r0, r1 = self, other
-        u0, u1 = POLY_ONE, POLY_ZERO
-        v0, v1 = POLY_ZERO, POLY_ONE
+        w0, w1 = (POLY_ONE, POLY_ZERO) if track_u else (POLY_ZERO, POLY_ONE)
         while not r1.is_zero():
             q, r = divmod(r0, r1)
             r0, r1 = r1, r
-            u0, u1 = u1, u0 - q * u1
-            v0, v1 = v1, v0 - q * v1
+            w0, w1 = w1, w0 - q * w1
         if r0.is_zero():
             return POLY_ZERO, POLY_ZERO, POLY_ZERO
-        lc = r0.leading()
-        inv = GR_ONE / lc
-        return r0.monic(), Poly([c * inv for c in u0.coeffs]), Poly(
-            [c * inv for c in v0.coeffs]
-        )
+        g = r0.monic()
+        w = w0._scaled(GR_ONE / r0.leading())
+        if track_u:
+            return g, w, (g - w * self) // other if other._xs else POLY_ZERO
+        return g, (g - w * other) // self if self._xs else POLY_ZERO, w
 
     def lcm(self, other):
         if self.is_zero() or other.is_zero():
             return POLY_ZERO
-        return ((self * other) // self.gcd(other)).monic()
+        return ((self // self.gcd(other)) * other).monic()
 
     def compose_neg(self):
         """p(-s): flip signs of odd-degree coefficients."""
-        return Poly(
-            [c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)]
+        return _raw(
+            [-x if i % 2 else x for i, x in enumerate(self._xs)],
+            [-y if i % 2 else y for i, y in enumerate(self._ys)],
+            self._q,
         )
 
     def derivative(self):
-        return Poly([c * i for i, c in enumerate(self.coeffs) if i > 0])
+        return _poly(
+            [x * i for i, x in enumerate(self._xs)][1:],
+            [y * i for i, y in enumerate(self._ys)][1:],
+            self._q,
+        )
 
     def __call__(self, x):
         """Evaluate by Horner; exact for GaussianRational x, float otherwise."""
+        xs, ys = self._xs, self._ys
         if isinstance(x, GaussianRational):
-            acc = GR_ZERO
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+            if not xs:
+                return GR_ZERO
+            # with x = (u + v*i)/w: q*w^n*p(x) = sum (xs+ys*i)[k] (u+v*i)^k w^(n-k)
+            u, v, w = x._x, x._y, x._q
+            ax, ay = xs[-1], ys[-1]
+            wk = 1
+            for k in range(len(xs) - 2, -1, -1):
+                wk *= w
+                ax, ay = ax * u - ay * v + xs[k] * wk, ax * v + ay * u + ys[k] * wk
+            return _gr(ax, ay, self._q * wk)
+        try:
+            cz = self._cz
+        except AttributeError:
+            # x/q rounds correctly, so these equal complex(c) for each c
+            q = self._q
+            cz = self._cz = [complex(a / q, b / q) for a, b in zip(xs, ys)][::-1]
         z = complex(x)
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
+        for c in cz:
+            acc = acc * z + c
         return acc
 
     # -- protocol ----------------------------------------------------------
@@ -435,7 +637,9 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (
+            self._q == other._q and self._xs == other._xs and self._ys == other._ys
+        )
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -447,8 +651,8 @@ class Poly:
         return render_poly(self)
 
 
-POLY_ZERO = Poly()
-POLY_ONE = Poly([1])
+POLY_ZERO = _raw([], [], 1)
+POLY_ONE = _raw([1], [0], 1)
 
 
 def render_poly(p: Poly, var="s"):
@@ -496,10 +700,10 @@ class RationalFn:
         g = num.gcd(den)
         if not g.is_one():
             num, den = num // g, den // g
-        lc = den.leading()
-        if lc != GR_ONE:
-            num = Poly([c / lc for c in num.coeffs])
-            den = den.monic()
+        monic = den.monic()
+        if monic is not den:
+            num = num._scaled(GR_ONE / den.leading())
+            den = monic
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -561,11 +765,12 @@ class RationalFn:
         return RationalFn(self.num.compose_neg(), self.den.compose_neg())
 
     def __call__(self, x):
-        n = self.num(x)
+        """Value at x, exact for GaussianRational x and complex otherwise;
+        raises PoleEvaluationError where the denominator is exactly zero."""
         d = self.den(x)
-        if isinstance(n, GaussianRational):
-            return n / d
-        return n / d
+        if not d:
+            raise PoleEvaluationError(x, x)
+        return self.num(x) / d
 
     def __eq__(self, other):
         if not isinstance(other, (RationalFn, Poly, int, GaussianRational)):

@@ -49,7 +49,7 @@ class RationalMatrix:
         rows = [[RationalFn.of(e) for e in row] for row in entries]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise DimensionError("ragged rows in rational matrix")
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "entries", tuple([tuple(r) for r in rows]))
 
     def __setattr__(self, *_):
         raise AttributeError("RationalMatrix is immutable")
@@ -209,7 +209,7 @@ class _PolyMat:
         self.m[dst] = [x + poly * y for x, y in zip(self.m[dst], self.m[src])]
 
     def _scale(self, i, c):
-        self.m[i] = [Poly([cc * c for cc in x.coeffs]) for x in self.m[i]]
+        self.m[i] = [x * c for x in self.m[i]]
 
     def _mix(self, i, j, a, b, c, d):
         """(row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j)."""
@@ -374,8 +374,9 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
                 e = n.m[i][t]
                 if e.is_zero():
                     continue
-                if n.m[t][t].divides(e):
-                    row_op("addmul", i, t, -(e // n.m[t][t]))
+                quot, rem = divmod(e, n.m[t][t])
+                if rem.is_zero():
+                    row_op("addmul", i, t, -quot)
                     row_normalize(i)
                 else:
                     row_mix(i, t)
@@ -385,8 +386,9 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
                 e = n.m[t][j]
                 if e.is_zero():
                     continue
-                if n.m[t][t].divides(e):
-                    col_op("addmul", j, t, -(e // n.m[t][t]))
+                quot, rem = divmod(e, n.m[t][t])
+                if rem.is_zero():
+                    col_op("addmul", j, t, -quot)
                     col_normalize(j)
                 else:
                     col_mix(j, t)

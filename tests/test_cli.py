@@ -6,6 +6,7 @@ import pytest
 from lqsys.cli import (
     EXIT_CHECK_FAILED,
     EXIT_EXACTNESS,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_REFUSED,
     EXIT_SPEC,
@@ -205,6 +206,17 @@ class TestFeedback:
         # squeezing at low frequency: |T_q| -> 0 while |S_q| -> infinity
         assert first[1] < 1e-3 and first[3] > 1e3
         assert last[1] > first[1] and last[3] < first[3]
+
+    def test_sweep_through_a_pole_exits_numerical(self, capsys, tmp_path):
+        # with alpha = 1/2 the closed loop T_q has its poles at s = +-i
+        plant = tmp_path / "plant.json"
+        plant.write_text('{"omega_plus": [0, "3/2"], "c_product": [3, 0]}')
+        ctrl = tmp_path / "ctrl.json"
+        ctrl.write_text('{"omega_plus": [0, "-1/2"], "c_product": [3, 0]}')
+        code, _, err = run(
+            capsys, "feedback", plant, ctrl, "--alpha", "1/2", "--sweep", "1:1:1"
+        )
+        assert code == EXIT_NUMERICAL and "pole" in err
 
     def test_degenerate_mirror_warning(self, capsys):
         code, out, _ = run(

@@ -9,6 +9,7 @@ from lqsys import (
     Beamsplitter,
     FeedbackNetwork,
     ParameterError,
+    PoleEvaluationError,
     QuadPlantParams,
     SynthesisError,
     UnsolvableError,
@@ -311,3 +312,14 @@ class TestSweep:
     def test_bad_range(self, squeezing_net):
         with pytest.raises(ParameterError):
             frequency_sweep(squeezing_net, -1.0, 1.0, 5)
+
+    def test_sweep_through_a_pole_raises_pole_error(self):
+        # T_q = (s^2 - 2s + 2)/(s^2 + 1): a lossless closed-loop pole at s = i
+        net = FeedbackNetwork(
+            QuadPlantParams.from_coupling_product(GR(0, Fraction(3, 2)), 3),
+            QuadPlantParams.from_coupling_product(GR(0, Fraction(-1, 2)), 3),
+            Beamsplitter.create(Fraction(1, 2)),
+        )
+        assert closed_loop(net)[0].den == S * S + 1
+        with pytest.raises(PoleEvaluationError):
+            frequency_sweep(net, 1.0, 1.0, 1)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lqsys import GaussianRational, Poly, RationalFn
-from lqsys.errors import ExactnessError
+from lqsys.errors import ExactnessError, PoleEvaluationError
 from lqsys.rational import GR_ONE, render_poly
 
 S = Poly.s()
@@ -140,3 +140,11 @@ class TestRationalFn:
     def test_denominator_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RationalFn(S, Poly())
+
+    def test_evaluation_at_exact_pole_raises_pole_error(self):
+        f = RationalFn(S + 1, S * S + 1)  # poles at +-i
+        assert f(GaussianRational(0, 2)) == GaussianRational(Fraction(-1, 3), Fraction(-2, 3))
+        for s in (GaussianRational(0, 1), GaussianRational(0, -1), 1j, -1j):
+            with pytest.raises(PoleEvaluationError) as exc:
+                f(s)
+            assert exc.value.s == s

@@ -3,6 +3,7 @@ import pytest
 
 from lqsys import (
     ExactnessError,
+    PoleEvaluationError,
     Poly,
     RationalFn,
     RationalMatrix,
@@ -93,6 +94,12 @@ class TestTransferMatrixExact:
     def test_classical_hidden_mode(self, classical_hidden_mode):
         g = transfer_matrix_exact(classical_hidden_mode)
         assert g == diag_fn(RationalFn(S, S - 1), RationalFn.of(1))
+
+    def test_evaluate_at_pole_raises_pole_error(self, classical_hidden_mode):
+        g = transfer_matrix_exact(classical_hidden_mode)  # pole at s = 1
+        for s in (GaussianRational(1), 1.0):
+            with pytest.raises(PoleEvaluationError):
+                g.evaluate(s)
 
     def test_matches_frequency_response(self, gain, classical_hidden_mode):
         for ss in (gain, classical_hidden_mode):
