@@ -12,7 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = ["SpectrumReport", "cluster_values", "multiset_match"]
+
+
+def _abs(z):
+    """|z| elementwise, bit for bit equal to Python's abs(complex): both are
+    the C library's hypot, which np.abs on complex arrays is not."""
+    return np.hypot(z.real, z.imag)
 
 
 def cluster_values(values, tol):
@@ -21,29 +29,67 @@ def cluster_values(values, tol):
     Returns a list of (representative, multiplicity) sorted by
     (real, imag) of the representative; the representative is the mean of
     the cluster members.
+
+    Values are visited in (real, imag) order and each joins the first
+    cluster, in creation order, whose current mean rep satisfies
+    |v - rep| <= tol * max(1, |rep|, |v|), or starts a new one.  When no
+    two finite values satisfy the rule with each other, every value is its
+    own cluster, which one comparison of all pairs settles.
     """
     vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
-    clusters: list[list[complex]] = []
-    for v in vals:
-        for members in clusters:
-            rep = sum(members) / len(members)
-            limit = tol * max(1.0, abs(rep), abs(v))
-            if abs(v - rep) <= limit:
-                members.append(v)
-                break
-        else:
-            clusters.append([v])
+    arr = np.array(vals, dtype=complex)
+    if np.isfinite(arr).all() and not _has_close_pair(arr, tol):
+        clusters = [[v] for v in vals]
+    else:
+        clusters = _first_match_clusters(vals, tol)
     out = [(sum(c) / len(c), len(c)) for c in clusters]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
+
+
+def _has_close_pair(arr, tol):
+    """Whether two distinct entries satisfy the clustering rule."""
+    size = _abs(arr)
+    limit = tol * np.fmax(np.fmax(1.0, size)[:, None], size)
+    close = _abs(np.subtract.outer(arr, arr)) <= limit
+    return bool(np.triu(close, 1).any())
+
+
+def _first_match_clusters(vals, tol):
+    """The greedy rule of cluster_values, one vectorized comparison per
+    value.  Only the cluster that grew is averaged again, by
+    sum(members) / len(members), so every mean compared against is bit
+    for bit the mean of the whole cluster."""
+    clusters: list[list[complex]] = []
+    reps = np.empty(len(vals), dtype=complex)
+    # max(1, |rep|) per cluster; fmax, like max, passes over a NaN
+    rep_scale = np.empty(len(vals))
+    for v in vals:
+        k = len(clusters)
+        limit = tol * np.fmax(rep_scale[:k], abs(v))
+        hits = np.flatnonzero(_abs(v - reps[:k]) <= limit)
+        if hits.size:
+            k = int(hits[0])
+            clusters[k].append(v)
+        else:
+            clusters.append([v])
+        rep = sum(clusters[k]) / len(clusters[k])
+        reps[k], rep_scale[k] = rep, max(1.0, abs(rep))
+    return clusters
 
 
 def multiset_match(avals, bvals, tol):
     """Optimal pairing of two complex lists; None if sizes differ or some
     matched pair exceeds tol * max(1, |a|).
 
-    Uses a minimum-cost assignment so that clustered numeric roots pair up
-    robustly even when several values are close together.
+    The pairing minimizes the summed distance |a - b|.  When some a has no
+    b within its tolerance tol * max(1, |a|), every pairing exceeds it, so
+    the answer is None.  When every a has exactly one b within tolerance
+    and those b are distinct, that pairing is the unique optimum: any other
+    pairing moves at least two rows, each onto a b beyond its tolerance
+    and so farther than its forced partner.  Only the remaining, ambiguous
+    case runs a minimum-cost assignment (scipy), which pairs clustered
+    numeric roots robustly.  Non-finite values raise NumericalError.
     """
     a = [complex(v) for v in avals]
     b = [complex(v) for v in bvals]
@@ -51,14 +97,25 @@ def multiset_match(avals, bvals, tol):
         return None
     if not a:
         return []
+    av, bv = np.array(a), np.array(b)
+    if not (np.isfinite(av).all() and np.isfinite(bv).all()):
+        raise NumericalError("cannot match spectra with non-finite values")
+    cost = _abs(np.subtract.outer(av, bv))
+    row_tol = tol * np.fmax(1.0, _abs(av))
+    near = cost <= row_tol[:, None]
+    partners = near.sum(axis=1)
+    if not partners.all():
+        return None
+    cols = near.argmax(axis=1)
+    if (partners == 1).all() and len(set(cols.tolist())) == len(a):
+        return [(a[i], b[j]) for i, j in enumerate(cols.tolist())]
     # imported here so that import lqsys does not load scipy
     from scipy.optimize import linear_sum_assignment
 
-    cost = np.array([[abs(x - y) for y in b] for x in a])
     rows, cols = linear_sum_assignment(cost)
     pairs = []
     for i, j in zip(rows, cols):
-        if cost[i, j] > tol * max(1.0, abs(a[i])):
+        if cost[i, j] > row_tol[i]:
             return None
         pairs.append((a[i], b[j]))
     return pairs

@@ -12,6 +12,12 @@ physically realizable system they are also the eigenvalues of -A^b (or
 test suite plays against the first.  Transmission zeros and poles are
 properties of the transfer matrix and are computed from the minimal
 realization numerically, or from the Smith-McMillan form exactly.
+
+The two floating-point spectra, eig(A - B D^-1 C) and eig(-A^b), are
+computed once per StateSpace and memoized on it; clustering at ``tol``
+and the realizability check run on every call.  The numeric det identity
+is built from the same two spectra, because det P(s) = (-1)^ns det D
+det(sI - (A - B D^-1 C)).
 """
 
 from __future__ import annotations
@@ -81,6 +87,45 @@ def normalrank(ss: StateSpace, tol=1e-9, probes=(0.731 + 0.829j, 1.372 - 0.544j)
     return max(rank_at_tolerance(pencil.evaluate(s), tol) for s in probes)
 
 
+def _frozen_eigvals(mat):
+    vals = np.linalg.eigvals(mat) if mat.size else np.empty(0, dtype=complex)
+    vals.setflags(write=False)
+    return vals
+
+
+def _schur_spectrum(ss: StateSpace):
+    """eig(A - B D^-1 C) as a read-only array, computed once per system;
+    None when D is empty or singular."""
+
+    def compute():
+        d = ss.D.astype(complex)
+        if not d.size:
+            return None
+        sv = np.linalg.svd(d, compute_uv=False)
+        if not sv[-1] > 1e-10 * max(1.0, sv[0]):
+            return None
+        schur = ss.A.astype(complex) - ss.B.astype(complex) @ np.linalg.solve(
+            d, ss.C.astype(complex)
+        )
+        return _frozen_eigvals(schur)
+
+    return ss.memoized("schur_spectrum", compute)
+
+
+def _adjoint_spectrum(ss: StateSpace):
+    """eig(-A^b) (annihilation) or eig(-A^#) (quadrature) as a read-only
+    array, computed once per system."""
+
+    def compute():
+        if ss.representation == "annihilation":
+            neg_adj = -flat_adjoint(ss.A)
+        else:
+            neg_adj = -sharp_adjoint(ss.A.real)
+        return _frozen_eigvals(neg_adj)
+
+    return ss.memoized("adjoint_spectrum", compute)
+
+
 def invariant_zeros_pencil(ss: StateSpace, tol=1e-9) -> SpectrumReport:
     """Invariant zeros as the finite eigenvalues of the Rosenbrock pencil.
 
@@ -91,16 +136,12 @@ def invariant_zeros_pencil(ss: StateSpace, tol=1e-9) -> SpectrumReport:
     system) degrades to a QZ solve of (P0, E) whose finite eigenvalues are
     confirmed by a rank sweep; the report is flagged accordingly.
     """
-    d = ss.D.astype(complex)
-    sv = np.linalg.svd(d, compute_uv=False) if d.size else np.array([])
-    invertible = d.size > 0 and sv[-1] > 1e-10 * max(1.0, sv[0])
-    if invertible:
-        schur = ss.A.astype(complex) - ss.B.astype(complex) @ np.linalg.solve(
-            d, ss.C.astype(complex)
-        )
-        vals = np.linalg.eigvals(schur) if schur.size else []
+    vals = _schur_spectrum(ss)
+    if vals is not None:
         return SpectrumReport.from_values(vals, tol=tol, method="pencil")
 
+    # the QZ branch confirms eigenvalues by a rank sweep at tol, so it is
+    # not memoized
     pencil = RosenbrockPencil.from_state_space(ss)
     if pencil.size == 0:
         return SpectrumReport.from_values(
@@ -138,12 +179,9 @@ def invariant_zeros_flat(
             "flat-adjoint zero computation needs a physically realizable "
             f"system; residuals {rb.residuals} exceed {realizability_tol}"
         )
-    if ss.representation == "annihilation":
-        neg_adj = -flat_adjoint(ss.A)
-    else:
-        neg_adj = -sharp_adjoint(ss.A.real)
-    vals = np.linalg.eigvals(neg_adj) if neg_adj.size else []
-    return SpectrumReport.from_values(vals, tol=tol, method="flat_adjoint")
+    return SpectrumReport.from_values(
+        _adjoint_spectrum(ss), tol=tol, method="flat_adjoint"
+    )
 
 
 def _as_rational_matrix(obj):
@@ -327,8 +365,16 @@ def verify_det_identity(ss: StateSpace, tol=1e-9) -> DetIdentityReport:
     Exact systems are checked exactly: the pencil determinant is obtained
     by evaluation/interpolation and the right side is the characteristic
     polynomial of -A^b; both are normalized monic and the dropped unit
-    factor is reported.  Floating systems fall back to sampled determinant
-    evaluations fitted to polynomials, compared at ``tol``.
+    factor is reported.
+
+    Floating systems are checked from the two memoized spectra, with no
+    determinant sampled: with invertible D, det P(s) = (-1)^ns det D
+    prod(s - mu) over mu in eig(A - B D^-1 C), and the right side is
+    prod(s - nu) over nu in eig(-A^b).  The monic sides are compared
+    coefficientwise, max |l_k - r_k| <= tol * max(1, max |r_k|), and
+    ``unit`` is (-1)^ns det D.  The identity presumes an invertible D, so
+    a singular D gives ``ok=False`` with an empty ``det_pencil``.
+    Coefficient tuples are lowest degree first.
     """
     if ss.is_exact:
         a, b, c, d = (ss.exact[k] for k in ("A", "B", "C", "D"))
@@ -354,31 +400,25 @@ def verify_det_identity(ss: StateSpace, tol=1e-9) -> DetIdentityReport:
             det_adjoint=tuple(complex(cc) for cc in right.coeffs),
         )
 
-    pencil = RosenbrockPencil.from_state_space(ss)
-    ns = ss.state_dim
-    if ss.representation == "annihilation":
-        neg_adj = -flat_adjoint(ss.A)
-    else:
-        neg_adj = -sharp_adjoint(ss.A.real)
-    pts = np.arange(ns + 1, dtype=float)
-    vand = np.vander(pts, ns + 1, increasing=True)
-    left_vals = [np.linalg.det(pencil.evaluate(s)) for s in pts]
-    right_vals = [
-        np.linalg.det(complex(s) * np.eye(ns) - neg_adj.astype(complex))
-        for s in pts
-    ]
-    left_coeffs = np.linalg.solve(vand, np.array(left_vals))
-    right_coeffs = np.linalg.solve(vand, np.array(right_vals))
-    lu = left_coeffs[-1] if abs(left_coeffs[-1]) > tol else 1.0
-    ru = right_coeffs[-1] if abs(right_coeffs[-1]) > tol else 1.0
-    lmon = left_coeffs / lu
-    rmon = right_coeffs / ru
-    scale = max(1.0, float(np.max(np.abs(rmon))))
-    ok = bool(np.max(np.abs(lmon - rmon)) <= tol * scale)
+    # both sides from the memoized spectra: det P(s) = (-1)^ns det D
+    # charpoly(A - B D^-1 C) and det(sI + A^b) = charpoly(-A^b); the first
+    # presumes an invertible D, so a singular one fails the identity
+    right = np.poly(_adjoint_spectrum(ss))
+    mu = _schur_spectrum(ss)
+    lmon = None if mu is None else np.poly(mu)
+    unit = (-1) ** ss.state_dim * complex(np.linalg.det(ss.D))
+    scale = max(1.0, float(np.max(np.abs(right))))
+    ok = lmon is not None and bool(np.max(np.abs(lmon - right)) <= tol * scale)
     return DetIdentityReport(
         ok=ok,
         mode="numeric",
-        unit=complex(lu),
-        det_pencil=tuple(complex(z) for z in left_coeffs),
-        det_adjoint=tuple(complex(z) for z in right_coeffs),
+        unit=unit,
+        det_pencil=() if lmon is None else _ascending(unit * lmon),
+        det_adjoint=_ascending(right),
     )
+
+
+def _ascending(coeffs):
+    """np.poly coefficients (highest degree first) as a tuple of complex,
+    lowest degree first."""
+    return tuple(complex(z) for z in np.atleast_1d(coeffs)[::-1])

@@ -1,6 +1,7 @@
 """StateSpace is immutable and memoizes what is derived from it: the
-eigenvalues of A and the Kalman decomposition per tolerance.  Memoized
-answers must equal those for a fresh copy of the same system."""
+eigenvalues of A, the Kalman decomposition per tolerance, and the two
+zero spectra eig(A - B D^-1 C) and eig(-A^b).  Memoized answers must
+equal those for a fresh copy of the same system."""
 
 import dataclasses
 
@@ -10,20 +11,25 @@ import pytest
 from lqsys import (
     HiddenModeConditionError,
     PoleEvaluationError,
+    SpectrumReport,
     StateSpace,
     SubspaceToleranceError,
     build_state_space,
     classify_left_invertibility,
     frequency_response,
+    invariant_zeros_flat,
+    invariant_zeros_pencil,
     kalman_decompose,
     minimal_realization,
     poles,
     random_params,
     to_quadrature,
     transmission_zeros,
+    verify_det_identity,
     verify_pole_zero_mirror,
     with_lossless_modes,
 )
+from lqsys.zeros import _adjoint_spectrum, _schur_spectrum
 
 NAMES = ("A", "B", "C", "D")
 
@@ -71,7 +77,8 @@ class TestReadOnly:
     def test_derived_arrays_are_read_only(self, cavity):
         kal = kalman_decompose(cavity)
         minimal = [getattr(kal.minimal, k) for k in NAMES]
-        for arr in (kal.transformation, cavity.eigenvalues(), *minimal):
+        spectra = (_schur_spectrum(cavity), _adjoint_spectrum(cavity))
+        for arr in (kal.transformation, cavity.eigenvalues(), *minimal, *spectra):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -106,18 +113,71 @@ class TestKalmanMemo:
                 kalman_decompose(ss)
 
 
+class TestZeroSpectraMemo:
+    def test_other_tol_reclusters(self, cavity):
+        # the zeros 1 - i and 1 + i are 2 apart: one cluster at tol 2
+        for fn in (invariant_zeros_pencil, invariant_zeros_flat):
+            tight = fn(cavity, 1e-9)
+            loose = fn(cavity, 2.0)
+            assert [m for _, m in tight.values] == [1, 1]
+            assert [m for _, m in loose.values] == [2] and loose.tol == 2.0
+            assert fn(cavity, 1e-9) == tight
+
+    def test_replace_starts_an_empty_memo(self, cavity, spectrum_equal):
+        pencil = invariant_zeros_pencil(cavity).expand()
+        flat = invariant_zeros_flat(cavity).expand()
+        moved = dataclasses.replace(cavity, A=cavity.A - np.eye(2))
+        spectrum_equal(invariant_zeros_pencil(moved), [z - 1.0 for z in pencil])
+        spectrum_equal(
+            SpectrumReport.from_values(_adjoint_spectrum(moved), 1e-9, "flat"),
+            [z + 1.0 for z in flat],
+        )
+
+    def test_singular_feedthrough_branch_is_not_memoized(self, classical_pole_only):
+        rep = invariant_zeros_pencil(classical_pole_only)
+        assert "singular-feedthrough" in rep.notes
+        assert classical_pole_only._memo == {"schur_spectrum": None}
+        assert invariant_zeros_pencil(classical_pole_only) == rep
+
+
 class TestMemoizedResultsMatchFreshCopies:
     @pytest.mark.parametrize(
         "fn",
-        [poles, transmission_zeros, verify_pole_zero_mirror, classify_left_invertibility],
+        [
+            poles,
+            transmission_zeros,
+            verify_pole_zero_mirror,
+            classify_left_invertibility,
+            invariant_zeros_pencil,
+            invariant_zeros_flat,
+        ],
         ids=lambda f: f.__name__,
     )
     def test_seeded_float_systems(self, fn):
         for ss in seeded_systems():
-            # warm every memo entry the four analyses touch, in another order
-            for other in (classify_left_invertibility, verify_pole_zero_mirror, poles):
+            # warm every memo entry the analyses touch, in another order
+            for other in WARM:
                 outcome(other, ss)
             assert outcome(fn, ss) == outcome(fn, ss) == outcome(fn, fresh_copy(ss))
+
+    def test_det_identity(self):
+        # compares whole reports: to_dict() leaves out the coefficients
+        for ss in seeded_systems():
+            for other in WARM:
+                outcome(other, ss)
+            rep = verify_det_identity(ss)
+            assert rep.ok
+            assert rep == verify_det_identity(ss) == verify_det_identity(fresh_copy(ss))
+
+
+WARM = (
+    classify_left_invertibility,
+    verify_pole_zero_mirror,
+    poles,
+    verify_det_identity,
+    invariant_zeros_flat,
+    invariant_zeros_pencil,
+)
 
 
 class TestFrequencyResponseMemo:

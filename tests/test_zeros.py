@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from lqsys import (
     transmission_zeros,
     verify_det_identity,
     verify_pole_zero_mirror,
+    with_lossless_modes,
     zero_directions,
 )
 from lqsys.rational import Poly
@@ -221,6 +224,53 @@ class TestDetIdentity:
         ss = build_state_space(QSystemParams.create([[1]], [[0]], [[0]], [[0]]))
         rep = verify_det_identity(ss)
         assert rep.ok and rep.mode == "exact"
+
+
+def float_realizable(n, kind, representation, seed=6):
+    """A seeded realizable float system.  At seed 6 every case from n = 5
+    up defeats a polynomial fit through determinants sampled at 0..ns."""
+    if kind == "generic":
+        params = random_params(seed, n, 2)
+    else:
+        params = with_lossless_modes(random_params(seed, n, 1, passive=True), [0.8, 2.1])
+    ss = build_state_space(params)
+    return ss if representation == "annihilation" else to_quadrature(ss)
+
+
+class TestNumericDetIdentity:
+    """The numeric identity holds on realizable float systems well past
+    n = 4, and fails when its premises do."""
+
+    @pytest.mark.parametrize("representation", ["annihilation", "quadrature"])
+    @pytest.mark.parametrize("kind", ["generic", "passive"])
+    @pytest.mark.parametrize("n", [5, 10, 20, 40])
+    def test_realizable_systems_hold(self, n, kind, representation):
+        ss = float_realizable(n, kind, representation)
+        rep = verify_det_identity(ss)
+        assert rep.ok and rep.mode == "numeric"
+        expected_unit = (-1) ** ss.state_dim * np.linalg.det(ss.D)
+        assert abs(rep.unit - expected_unit) <= 1e-9
+        assert len(rep.det_pencil) == len(rep.det_adjoint) == ss.state_dim + 1
+
+    def test_holds_across_seeds(self):
+        for seed in range(12):
+            for n, kind in ((3, "generic"), (5, "passive"), (8, "generic")):
+                for representation in ("annihilation", "quadrature"):
+                    ss = float_realizable(n, kind, representation, seed)
+                    assert verify_det_identity(ss).ok, (seed, n, kind, representation)
+
+    def test_perturbed_a_is_not_realizable_and_fails(self):
+        ss = float_realizable(5, "generic", "annihilation")
+        bump = np.zeros_like(ss.A)
+        bump[0, 1] = 0.1
+        rep = verify_det_identity(dataclasses.replace(ss, A=ss.A + bump))
+        assert not rep.ok and rep.mode == "numeric"
+
+    def test_singular_feedthrough_fails(self, cavity):
+        ss = dataclasses.replace(cavity, D=np.diag([1.0, 0.0]))
+        rep = verify_det_identity(ss)
+        assert not rep.ok and rep.mode == "numeric"
+        assert rep.det_pencil == ()
 
 
 class TestNormalRank:
