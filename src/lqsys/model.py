@@ -169,6 +169,14 @@ class RepresentationMap:
         return self.unitary(self.m)
 
 
+def frozen_eigvals(mat):
+    """Eigenvalues of a square array as a read-only array, the form in
+    which spectra are memoized on a StateSpace."""
+    vals = np.linalg.eigvals(mat)
+    vals.setflags(write=False)
+    return vals
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Quadruple (A, B, C, D) in either representation.
@@ -261,12 +269,7 @@ class StateSpace:
     def eigenvalues(self):
         """Eigenvalues of A as a read-only array, computed once."""
 
-        def compute():
-            vals = np.linalg.eigvals(self.A)
-            vals.setflags(write=False)
-            return vals
-
-        return self.memoized("eigenvalues", compute)
+        return self.memoized("eigenvalues", lambda: frozen_eigvals(self.A))
 
     def real_matrices(self):
         """(A, B, C, D) as real arrays; only valid for quadrature systems."""

@@ -34,14 +34,24 @@ def cluster_values(values, tol):
     cluster, in creation order, whose current mean rep satisfies
     |v - rep| <= tol * max(1, |rep|, |v|), or starts a new one.  When no
     two finite values satisfy the rule with each other, every value is its
-    own cluster, which one comparison of all pairs settles.
+    own cluster, which one comparison of all pairs settles; only spectra
+    with a close pair run the greedy loop.
     """
     vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
     arr = np.array(vals, dtype=complex)
     if np.isfinite(arr).all() and not _has_close_pair(arr, tol):
         clusters = [[v] for v in vals]
     else:
-        clusters = _first_match_clusters(vals, tol)
+        clusters = []
+        for v in vals:
+            for members in clusters:
+                rep = sum(members) / len(members)
+                limit = tol * max(1.0, abs(rep), abs(v))
+                if abs(v - rep) <= limit:
+                    members.append(v)
+                    break
+            else:
+                clusters.append([v])
     out = [(sum(c) / len(c), len(c)) for c in clusters]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
@@ -53,29 +63,6 @@ def _has_close_pair(arr, tol):
     limit = tol * np.fmax(np.fmax(1.0, size)[:, None], size)
     close = _abs(np.subtract.outer(arr, arr)) <= limit
     return bool(np.triu(close, 1).any())
-
-
-def _first_match_clusters(vals, tol):
-    """The greedy rule of cluster_values, one vectorized comparison per
-    value.  Only the cluster that grew is averaged again, by
-    sum(members) / len(members), so every mean compared against is bit
-    for bit the mean of the whole cluster."""
-    clusters: list[list[complex]] = []
-    reps = np.empty(len(vals), dtype=complex)
-    # max(1, |rep|) per cluster; fmax, like max, passes over a NaN
-    rep_scale = np.empty(len(vals))
-    for v in vals:
-        k = len(clusters)
-        limit = tol * np.fmax(rep_scale[:k], abs(v))
-        hits = np.flatnonzero(_abs(v - reps[:k]) <= limit)
-        if hits.size:
-            k = int(hits[0])
-            clusters[k].append(v)
-        else:
-            clusters.append([v])
-        rep = sum(clusters[k]) / len(clusters[k])
-        reps[k], rep_scale[k] = rep, max(1.0, abs(rep))
-    return clusters
 
 
 def multiset_match(avals, bvals, tol):

@@ -30,7 +30,12 @@ from . import exactlinalg as xl
 from .errors import NumericalError, ParameterError, RealizabilityError
 from .kalman import minimal_realization
 from .linalg import flat_adjoint, rank_at_tolerance, sharp_adjoint
-from .model import StateSpace, check_physical_realizability, frequency_response
+from .model import (
+    StateSpace,
+    check_physical_realizability,
+    frequency_response,
+    frozen_eigvals,
+)
 from .rational import GR_ONE
 from .smith import RationalMatrix, smith_mcmillan, zeros_poles_from_smf
 from .spectra import SpectrumReport, format_complex, multiset_match
@@ -87,12 +92,6 @@ def normalrank(ss: StateSpace, tol=1e-9, probes=(0.731 + 0.829j, 1.372 - 0.544j)
     return max(rank_at_tolerance(pencil.evaluate(s), tol) for s in probes)
 
 
-def _frozen_eigvals(mat):
-    vals = np.linalg.eigvals(mat) if mat.size else np.empty(0, dtype=complex)
-    vals.setflags(write=False)
-    return vals
-
-
 def _schur_spectrum(ss: StateSpace):
     """eig(A - B D^-1 C) as a read-only array, computed once per system;
     None when D is empty or singular."""
@@ -107,7 +106,7 @@ def _schur_spectrum(ss: StateSpace):
         schur = ss.A.astype(complex) - ss.B.astype(complex) @ np.linalg.solve(
             d, ss.C.astype(complex)
         )
-        return _frozen_eigvals(schur)
+        return frozen_eigvals(schur)
 
     return ss.memoized("schur_spectrum", compute)
 
@@ -121,7 +120,7 @@ def _adjoint_spectrum(ss: StateSpace):
             neg_adj = -flat_adjoint(ss.A)
         else:
             neg_adj = -sharp_adjoint(ss.A.real)
-        return _frozen_eigvals(neg_adj)
+        return frozen_eigvals(neg_adj)
 
     return ss.memoized("adjoint_spectrum", compute)
 

@@ -24,6 +24,7 @@ from lqsys import (
     with_lossless_modes,
     zero_directions,
 )
+from lqsys.linalg import flat_adjoint, sharp_adjoint
 from lqsys.rational import Poly
 
 S = Poly.s()
@@ -251,6 +252,31 @@ class TestNumericDetIdentity:
         expected_unit = (-1) ** ss.state_dim * np.linalg.det(ss.D)
         assert abs(rep.unit - expected_unit) <= 1e-9
         assert len(rep.det_pencil) == len(rep.det_adjoint) == ss.state_dim + 1
+
+    @pytest.mark.parametrize("representation", ["annihilation", "quadrature"])
+    @pytest.mark.parametrize("kind", ["generic", "passive"])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_polynomials_match_sampled_determinants(self, n, kind, representation):
+        """Both reported polynomials, built from spectra, against dense
+        determinants of P(s) and of sI + A^b at sample points.  A physical
+        D has det D = +-1, so the pencil side is also checked with D scaled
+        by 1.5, which breaks the identity but not the determinant."""
+        ss = float_realizable(n, kind, representation)
+        if representation == "annihilation":
+            neg_adj = -flat_adjoint(ss.A)
+        else:
+            neg_adj = -sharp_adjoint(ss.A.real)
+        eye = np.eye(ss.state_dim)
+        scaled = dataclasses.replace(ss, D=1.5 * ss.D)
+        for sys_, rep in ((ss, verify_det_identity(ss)), (scaled, verify_det_identity(scaled))):
+            pencil = RosenbrockPencil.from_state_space(sys_)
+            for s0 in (0.3 + 0.7j, -1.1 + 0.2j, 2.0):
+                left = np.polyval(rep.det_pencil[::-1], s0)
+                right = np.polyval(rep.det_adjoint[::-1], s0)
+                det_p = np.linalg.det(pencil.evaluate(s0))
+                det_a = np.linalg.det(s0 * eye - neg_adj)
+                assert abs(left - det_p) <= 1e-8 * abs(det_p)
+                assert abs(right - det_a) <= 1e-8 * abs(det_a)
 
     def test_holds_across_seeds(self):
         for seed in range(12):
