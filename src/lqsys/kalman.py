@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     HiddenModeConditionError,
+    NumericalError,
     RealizabilityError,
     SubspaceToleranceError,
 )
@@ -154,9 +155,20 @@ def kalman_decompose(ss: StateSpace, tol=1e-9) -> KalmanReport:
     zeros, theorem zeros, the pole-zero mirror and the invertibility
     checks of one system share one decomposition; its arrays are
     read-only.  A SubspaceToleranceError is not memoized and is raised
-    again on every call.
+    again on every call; so is the NumericalError raised when an SVD or
+    solve does not converge, as on entries near the float range's end.
     """
-    return ss.memoized(("kalman", tol), lambda: _decompose(ss, tol))
+    return ss.memoized(("kalman", tol), lambda: _decompose_checked(ss, tol))
+
+
+def _decompose_checked(ss, tol):
+    try:
+        return _decompose(ss, tol)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(
+            f"Kalman decomposition failed (state dim {ss.state_dim}, "
+            f"largest |A| entry {np.abs(ss.A).max():.3g}): {e}"
+        ) from e
 
 
 def _decompose(ss, tol):

@@ -380,6 +380,14 @@ class Poly:
     def is_one(self):
         return self._xs == [1] and self._ys == [0] and self._q == 1
 
+    def size(self):
+        """Bit length of the largest integer coefficient times the number
+        of terms: a measure of the cost of arithmetic with self."""
+        if not self._xs:
+            return 0
+        big = max(max(self._xs, key=abs).bit_length(), max(self._ys, key=abs).bit_length())
+        return len(self._xs) * big
+
     def leading(self):
         if not self._xs:
             return GR_ZERO
@@ -472,26 +480,46 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def _divide(self, b):
-        """Long division by ``b``, a nonzero Poly or scalar: (quotient parts
-        for ``_from_parts``, remainder), or (None, self) when deg self <
-        deg b.
+    def _divide(self, b, want_quotient=True):
+        """Long division by ``b``, a nonzero Poly or scalar: (quotient,
+        remainder), the quotient None when not wanted.
 
-        With l the Gaussian-integer leading coefficient of b, each step
-        multiplies the remainder by the positive integer m = l*cl, where
-        cl = conj(l), or sign(l) when l is real, and subtracts t*cl*b*s^k,
-        t the remainder's top coefficient; the top cancels.  The working
-        remainder stays an integer vector over one denominator whose content
-        is divided out after every step, so its coefficients do not grow."""
+        A nonzero constant divisor is a unit: the quotient is one scaling
+        and the remainder zero, with no long division.  Otherwise b is
+        written (k/qb)*B with B its primitive Gaussian-integer part, and the
+        division runs on B: the remainder is the same and the quotient is
+        scaled by qb/k, while the per-step multiplier below is free of k^2.
+        With l the leading coefficient of B, each step multiplies the
+        remainder by the positive integer m = l*cl, where cl = conj(l), or
+        sign(l) when l is real, and subtracts t*cl*B*s^j, t the remainder's
+        top coefficient; the top cancels.  The working remainder stays an
+        integer vector over one denominator whose content is divided out
+        after every step, so its coefficients do not grow; ``_poly``
+        canonicalizes the final remainder and ``_from_parts`` the
+        quotient."""
         if not isinstance(b, Poly):
             b = Poly.constant(b)
         bx, by, qb = b._xs, b._ys, b._q
         dd = len(bx) - 1
         if dd < 0:
             raise ZeroDivisionError("polynomial division by zero")
+        if dd == 0:
+            if not want_quotient:
+                return None, POLY_ZERO
+            lx, ly = bx[0], by[0]
+            if lx == qb and not ly:
+                return self, POLY_ZERO
+            # 1/b = qb*(lx - ly*i)/(lx^2 + ly^2)
+            return self._scaled(_gr(lx * qb, -ly * qb, lx * lx + ly * ly)), POLY_ZERO
         steps = len(self._xs) - dd
         if steps <= 0:
-            return None, self
+            return POLY_ZERO, self
+        # divide by the primitive part B of b = (k/qb)*B: the remainder is
+        # the same, the quotient is scaled by qb/k, and m is smaller
+        k = gcd(*bx, *by)
+        if k != 1:
+            bx = [x // k for x in bx]
+            by = [y // k for y in by]
         lx, ly = bx[-1], by[-1]
         if ly:
             cx, cy, m = lx, -ly, lx * lx + ly * ly
@@ -499,48 +527,47 @@ class Poly:
             cx, cy, m = (1 if lx > 0 else -1), 0, abs(lx)
         rx, ry, rq = list(self._xs), list(self._ys), self._q
         qx, qy, qd = [0] * steps, [0] * steps, [1] * steps
-        for k in range(steps - 1, -1, -1):
-            top = dd + k
+        for j in range(steps - 1, -1, -1):
+            top = dd + j
             tx, ty = rx[top], ry[top]
             del rx[top], ry[top]
             if not tx and not ty:
                 continue
             tx, ty = tx * cx - ty * cy, tx * cy + ty * cx
-            # quotient coefficient t/(l/qb) = t*cl*qb/(rq*m)
-            qx[k], qy[k], qd[k] = tx * qb, ty * qb, rq * m
+            # quotient coefficient t/(k*l/qb) = t*cl*qb/(rq*m*k)
+            qx[j], qy[j], qd[j] = tx * qb, ty * qb, rq * m * k
             if m != 1:
                 rx = [x * m for x in rx]
                 ry = [y * m for y in ry]
                 rq *= m
-            for j in range(dd):
-                x2, y2 = bx[j], by[j]
-                rx[k + j] -= tx * x2 - ty * y2
-                ry[k + j] -= tx * y2 + ty * x2
+            for i in range(dd):
+                x2, y2 = bx[i], by[i]
+                rx[j + i] -= tx * x2 - ty * y2
+                ry[j + i] -= tx * y2 + ty * x2
             if m != 1:
                 g = gcd(rq, *rx, *ry)
                 if g != 1:
                     rx = [x // g for x in rx]
                     ry = [y // g for y in ry]
                     rq //= g
-        return (qx, qy, qd), _poly(rx, ry, rq)
+        quot = _from_parts(qx, qy, qd) if want_quotient else None
+        return quot, _poly(rx, ry, rq)
 
     def __divmod__(self, other):
-        parts, rem = self._divide(other)
-        if parts is None:
-            return POLY_ZERO, rem
-        return _from_parts(*parts), rem
+        return self._divide(other)
 
     def __floordiv__(self, other):
-        return divmod(self, other)[0]
+        return self._divide(other)[0]
 
     def __mod__(self, other):
-        return self._divide(other)[1]
+        return self._divide(other, want_quotient=False)[1]
 
     def divides(self, other):
-        """True when self divides other exactly (zero divides only zero)."""
+        """True when self divides other exactly (zero divides only zero,
+        a nonzero constant everything)."""
         if self.is_zero():
             return other.is_zero()
-        return (other % self).is_zero()
+        return len(self._xs) == 1 or (other % self).is_zero()
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -570,15 +597,26 @@ class Poly:
 
         Euclid's sequence carries one cofactor only, that of the operand of
         larger degree (its own degree is the smaller one); the other follows
-        from u*self + v*other = g by one exact division."""
+        from u*self + v*other = g by one exact division.  Each remainder is
+        replaced by its primitive Gaussian-integer part, and its cofactor
+        scaled by the same rational, so the divisions run on integer vectors
+        without the large common factors that the rational remainders of
+        Euclid carry; the pair is normalized once, by the last remainder's
+        leading coefficient.  The cofactors are the unique ones of least
+        degree, so the scaling changes no result."""
         track_u = self.degree > other.degree
         r0, r1 = self, other
         w0, w1 = (POLY_ONE, POLY_ZERO) if track_u else (POLY_ZERO, POLY_ONE)
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
+        while r1._xs:
+            q, r = r0._divide(r1)
             r0, r1 = r1, r
             w0, w1 = w1, w0 - q * w1
-        if r0.is_zero():
+            if r._xs:
+                # r = (c/q) * primitive part: scale r and its cofactor by q/c
+                c = gcd(*r._xs, *r._ys)
+                r1 = _raw([x // c for x in r._xs], [y // c for y in r._ys], 1)
+                w1 = w1._scaled(_gr(r._q, 0, c))
+        if not r0._xs:
             return POLY_ZERO, POLY_ZERO, POLY_ZERO
         g = r0.monic()
         w = w0._scaled(GR_ONE / r0.leading())

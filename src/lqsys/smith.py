@@ -41,9 +41,10 @@ __all__ = [
 
 
 class RationalMatrix:
-    """Dense matrix of RationalFn entries."""
+    """Dense matrix of RationalFn entries.  Immutable; its numerator form
+    (see ``_numerator``) is computed on first use and kept."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_numer")
 
     def __init__(self, entries):
         rows = [[RationalFn.of(e) for e in row] for row in entries]
@@ -220,12 +221,21 @@ class _PolyMat:
 
 def _numerator(g: RationalMatrix):
     """(N, d) with G = N/d: d the monic lcm of the entry denominators and
-    N the polynomial matrix d*G."""
-    d = POLY_ONE
-    for row in g.entries:
-        for e in row:
-            d = d.lcm(e.den)
-    return _PolyMat([[e.num * (d // e.den) for e in row] for row in g.entries]), d
+    N a fresh ``_PolyMat`` of d*G.  The lcm and the products are computed
+    once per matrix and kept on it, so the reduction and every replay of
+    the same G share them."""
+    try:
+        rows, d = g._numer
+    except AttributeError:
+        d = POLY_ONE
+        for row in g.entries:
+            for e in row:
+                if e.den != d:
+                    d = d.lcm(e.den)
+        rows = tuple(tuple(e.num if e.den == d else e.num * (d // e.den) for e in row)
+                     for row in g.entries)
+        object.__setattr__(g, "_numer", (rows, d))
+    return _PolyMat(rows), d
 
 
 @dataclass(frozen=True)
@@ -276,42 +286,46 @@ class SmithMcMillanForm:
 def apply_operations(g: RationalMatrix, left_ops, right_ops) -> RationalMatrix:
     """Apply recorded elementary operations: left ops act on rows, right
     ops on columns, each in recorded order.  They are replayed on the
-    numerator N = d*G and divided by d once at the end."""
+    numerator N = d*G, kept on G since the reduction of the same matrix
+    computed it, and divided by d once at the end."""
     n, d = _numerator(g)
     for op in left_ops:
         n.row_op(op)
+    # column operations are row operations on the transpose
+    n = _PolyMat(zip(*n.m))
     for op in right_ops:
-        n.col_op(op)
-    return RationalMatrix([[RationalFn(x, d) for x in row] for row in n.m])
+        n.row_op(op)
+    return RationalMatrix([[RationalFn(x, d) for x in col] for col in zip(*n.m)])
 
 
-def _lowest_degree_pivot(m, t, p, q):
-    best = None
-    for i in range(t, p):
-        for j in range(t, q):
-            e = m.m[i][j]
-            if e.is_zero():
-                continue
-            key = (e.degree, i, j)
-            if best is None or key < best[0]:
-                best = (key, i, j)
-    if best is None:
-        return None
-    return best[1], best[2]
+def _smallest_pivot(m, t, p, q):
+    """Position of the trailing block's nonzero entry of least degree, ties
+    broken by least ``Poly.size``, then by (row, col)."""
+    keys = [
+        (e.degree, e.size(), i, j)
+        for i in range(t, p)
+        for j, e in enumerate(m.m[i][t:q], t)
+        if not e.is_zero()
+    ]
+    return min(keys)[2:] if keys else None
 
 
 def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
     """Smith-McMillan form via Smith reduction of the numerator matrix.
 
-    Writes G = N(s)/d(s) with d the monic lcm of entry denominators and
-    reduces N by recorded unimodular operations, then cancels d into each
-    diagonal entry.  Non-divisible entries are absorbed into the pivot by
-    a Bezout 2x2 mix (one operation turns the pivot into the gcd and
-    zeroes the entry), and every touched row/column is stripped to its
-    rational content; together these keep coefficient growth tame, where
-    plain remainder chasing blows up.  Pivots are chosen as the
-    lowest-degree nonzero entry, ties broken by smallest (row, col), so
-    the recorded operation sequence is deterministic.
+    Writes G = N(s)/d(s) with d the monic lcm of entry denominators (the
+    numerator form shared with ``apply_operations``) and reduces N by
+    recorded unimodular operations, then cancels d into each diagonal
+    entry.  The pivot is the trailing block's entry of least degree, ties
+    broken by least coefficient size, then by smallest (row, col), so the
+    recorded operation sequence is deterministic.  The pivot's column and
+    row are then cleared one entry at a time, the smallest first: an entry
+    the pivot divides by a plain row or column operation, any other by a
+    Bezout 2x2 mix that turns the pivot into the gcd and zeroes the entry.
+    Small entries first keep the Bezout cofactors, which every later
+    clearing operation spreads over the trailing block, as small as the
+    matrix allows.  Every touched row/column is stripped to its rational
+    content; a constant pivot divides everything without long division.
     """
     p, q = g.shape
     n, d = _numerator(g)
@@ -335,32 +349,21 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
         if c is not None and c != 1:
             col_op("scale", j, GaussianRational(1 / c))
 
-    def row_mix(i, t):
-        """Replace the pivot by gcd(pivot, n[i][t]) and zero n[i][t] with a
-        single unimodular 2x2 row operation (Bezout combination)."""
-        pivot, e = n.m[t][t], n.m[i][t]
-        g, uu, vv = pivot.ext_gcd(e)
-        a, b = uu, vv
-        c, d_ = -(e // g), pivot // g
-        row_op("mix", t, i, a, b, c, d_)
-        row_normalize(t)
-        row_normalize(i)
-
-    def col_mix(j, t):
-        pivot, e = n.m[t][t], n.m[t][j]
-        g, uu, vv = pivot.ext_gcd(e)
-        a, b = uu, vv
-        c, d_ = -(e // g), pivot // g
-        col_op("mix", t, j, a, b, c, d_)
-        col_normalize(t)
-        col_normalize(j)
+    def bezout(pivot, e, quot, rem):
+        """The 2x2 mix (a, b, c, d) with a*pivot + b*e = gcd(pivot, e) and
+        c*pivot + d*e = 0.  The sweep already divided e by the pivot, so
+        the gcd runs on (pivot, rem) and the pivot's cofactor is corrected
+        by the quotient: a*pivot + b*rem = g gives (a - b*quot)*pivot +
+        b*e = g, the same least-degree cofactors as a gcd on (pivot, e)."""
+        g, a, b = pivot.ext_gcd(rem)
+        return a - b * quot, b, -(e // g), pivot // g
 
     for i in range(p):
         row_normalize(i)
 
     t = 0
     while t < min(p, q):
-        pos = _lowest_degree_pivot(n, t, p, q)
+        pos = _smallest_pivot(n, t, p, q)
         if pos is None:
             break
         if pos[0] != t:
@@ -368,34 +371,27 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
         if pos[1] != t:
             col_op("swap", t, pos[1])
         while True:
-            # column sweep: divisible entries are cleared by a plain row
-            # operation, the rest by a Bezout mix that shrinks the pivot
-            for i in range(t + 1, p):
-                e = n.m[i][t]
-                if e.is_zero():
-                    continue
-                quot, rem = divmod(e, n.m[t][t])
+            # the nonzero entries left in the pivot's column (side 0) and
+            # row (side 1); the smallest is cleared or mixed in next
+            line = [(n.m[i][t].size(), 0, i) for i in range(t + 1, p)
+                    if not n.m[i][t].is_zero()]
+            line += [(n.m[t][j].size(), 1, j) for j in range(t + 1, q)
+                     if not n.m[t][j].is_zero()]
+            if line:
+                _, side, k = min(line)
+                op, normalize = (col_op, col_normalize) if side else (row_op, row_normalize)
+                pivot = n.m[t][t]
+                e = n.m[t][k] if side else n.m[k][t]
+                quot, rem = divmod(e, pivot)
                 if rem.is_zero():
-                    row_op("addmul", i, t, -quot)
-                    row_normalize(i)
+                    op("addmul", k, t, -quot)
                 else:
-                    row_mix(i, t)
-            # row sweep: may re-dirty the column (a column mix feeds column
-            # j entries back into column t), hence the outer loop
-            for j in range(t + 1, q):
-                e = n.m[t][j]
-                if e.is_zero():
-                    continue
-                quot, rem = divmod(e, n.m[t][t])
-                if rem.is_zero():
-                    col_op("addmul", j, t, -quot)
-                    col_normalize(j)
-                else:
-                    col_mix(j, t)
-            if any(not n.m[i][t].is_zero() for i in range(t + 1, p)):
+                    op("mix", t, k, *bezout(pivot, e, quot, rem))
+                    normalize(t)
+                normalize(k)
                 continue
             # pivot must divide the whole remaining submatrix; if not, pull
-            # the offending row up and keep reducing (the next sweep then
+            # the offending row up and keep reducing (the next pass then
             # gcd-mixes the offending entry into the pivot)
             offender = None
             for i in range(t + 1, p):

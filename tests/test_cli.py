@@ -275,3 +275,25 @@ class TestDeterminism:
         assert code1 == code2
         assert out1 == out2
         json.loads(out1)  # machine format parses
+
+
+class TestHugeEntries:
+    """Entries near the end of the float range make numpy's SVD fail to
+    converge; the CLI reports a numerical error (exit 6), not a traceback."""
+
+    SPEC = (
+        '{"representation": "params", "n": 1, "m": 1,'
+        '"omega_minus": [[[1e306, 0]]], "omega_plus": [[[0, 0]]],'
+        '"c_minus": [[[1e100, 0]]], "c_plus": [[[0, 0]]]}'
+    )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv", [("poles",), ("kalman",), ("zeros", "--method", "all")]
+    )
+    def test_numerical_error_exit(self, capsys, tmp_path, argv):
+        spec = tmp_path / "huge.json"
+        spec.write_text(self.SPEC)
+        code, _, err = run(capsys, argv[0], spec, *argv[1:])
+        assert code == EXIT_NUMERICAL
+        assert "did not converge" in err

@@ -106,6 +106,27 @@ polys = coeff_lists.map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
 
+# The Smith-McMillan reduction divides and takes Bezout cofactors of
+# polynomials whose coefficients run to thousands of bits, and divides by
+# constant pivots; these strategies reach that regime.
+big_fractions = st.builds(
+    Fraction, st.integers(-(2**1000), 2**1000), st.integers(1, 2**300)
+)
+big_gaussians = st.builds(
+    GaussianRational, big_fractions, st.one_of(st.just(Fraction(0)), big_fractions)
+)
+big_polys = st.lists(big_gaussians, max_size=6).map(Poly)
+# nonzero divisors with a large common factor, as rows carry after a mix
+scaled_polys = st.builds(
+    lambda p, k: p * k, polys.filter(lambda p: not p.is_zero()),
+    st.integers(1, 2**600),
+)
+any_polys = st.one_of(polys, big_polys)
+nonzero_constants = st.one_of(gaussians, big_gaussians).filter(bool).map(
+    lambda c: Poly([c])
+)
+
+
 def L(p):
     return list(p.coeffs)
 
@@ -307,3 +328,35 @@ class TestExactLinalgAgainstSympy:
         for (k,), z in dict(ref).items():
             coeffs[k] = _from_qq_i(z)
         assert xl.pencil_det(p0, e) == Poly(coeffs)
+
+
+class TestPolyLargeCoefficients:
+    BIG = settings(max_examples=40, deadline=None)
+
+    @BIG
+    @given(any_polys, st.one_of(big_polys, scaled_polys).filter(lambda p: not p.is_zero()))
+    def test_divmod(self, a, b):
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert (L(q), L(r)) == ref_divmod(L(a), L(b))
+        assert a // b == q and a % b == r
+        assert b.divides(a) == r.is_zero()
+
+    @BIG
+    @given(big_polys, big_polys, polys)
+    def test_gcd_ext_gcd(self, a, b, c):
+        a, b = a * c, b * c
+        g = a.gcd(b)
+        assert L(g) == ref_gcd(L(a), L(b))
+        g2, u, v = a.ext_gcd(b)
+        assert (L(g2), L(u), L(v)) == ref_ext_gcd(L(a), L(b))
+        assert u * a + v * b == g2 == g
+
+    @BIG
+    @given(any_polys, nonzero_constants)
+    def test_constant_divisors(self, a, c):
+        q, r = divmod(a, c)
+        assert (L(q), L(r)) == ref_divmod(L(a), L(c))
+        assert r.is_zero() and q * c == a
+        assert a // c == q and (a % c).is_zero() and c.divides(a)
+        assert L(a // c.coeffs[0]) == L(q)  # a scalar divisor is the same
