@@ -167,10 +167,7 @@ def _zero_method(ss, method, kind, tol):
         if method == "pencil":
             return transmission_zeros(ss, tol)
         if method == "smf":
-            zeros_rep, _ = zeros_poles_from_smf(
-                smith_mcmillan(transfer_matrix_exact(ss)), tol
-            )
-            return zeros_rep
+            return transmission_zeros(transfer_matrix_exact(ss), tol)
     raise ParameterError(f"method {method!r} does not apply to {kind} zeros")
 
 
@@ -228,14 +225,9 @@ def cmd_poles(args):
     loaded = load_system_spec(args.spec)
     ss = loaded.state_space()
     report = _base_report("poles", loaded, args.tol)
-    if args.exact:
-        if not ss.is_exact:
-            raise ExactnessError("--exact requires exact input entries")
-        _, pole_rep = zeros_poles_from_smf(
-            smith_mcmillan(transfer_matrix_exact(ss)), args.tol
-        )
-    else:
-        pole_rep = poles(ss, args.tol)
+    if args.exact and not ss.is_exact:
+        raise ExactnessError("--exact requires exact input entries")
+    pole_rep = poles(transfer_matrix_exact(ss) if args.exact else ss, args.tol)
     report["result"] = pole_rep.to_dict()
     emit(report, args.format)
     return EXIT_OK

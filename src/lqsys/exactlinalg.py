@@ -19,7 +19,6 @@ from .rational import GR_ONE, GR_ZERO, GaussianRational, Poly, _gr
 
 __all__ = [
     "exact_matrix",
-    "from_numpy_exact",
     "to_numpy",
     "shape",
     "mat_add",
@@ -32,7 +31,6 @@ __all__ = [
     "mat_block",
     "hermitian_t",
     "transpose",
-    "diag_exact",
     "doubled_up_exact",
     "signature_j_exact",
     "flat_adjoint_exact",
@@ -50,13 +48,6 @@ def exact_matrix(rows):
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionError("ragged rows in exact matrix")
     return out
-
-
-def from_numpy_exact(a):
-    """Exact view of a float/complex array; float entries convert exactly
-    (binary rationals), so this never loses information."""
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    return [[GaussianRational.of(complex(x)) for x in row] for row in a]
 
 
 def to_numpy(m):
@@ -152,15 +143,6 @@ def transpose(a):
 def hermitian_t(a):
     r, c = shape(a)
     return [[a[i][j].conjugate() for i in range(r)] for j in range(c)]
-
-
-def diag_exact(vals):
-    """Square exact matrix with ``vals`` on its diagonal."""
-    k = len(vals)
-    out = mat_zeros(k, k)
-    for i, v in enumerate(vals):
-        out[i][i] = GaussianRational.of(v)
-    return out
 
 
 def doubled_up_exact(u, v):

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HiddenModeConditionError, RealizabilityError
+from .errors import HiddenModeConditionError
 from .kalman import HiddenModeReport, check_imaginary_hidden_modes, kalman_decompose
-from .model import StateSpace, check_physical_realizability, verify_inverse_identity
+from .model import StateSpace, require_physical_realizability, verify_inverse_identity
 from .spectra import SpectrumReport, format_complex
 from .zeros import transmission_zeros
 
@@ -75,12 +75,9 @@ def classify_left_invertibility(
     system with hidden modes at -1 and +1 can pass the eigenvalue test
     yet admit an exponentially growing input with zero output).
     """
-    rb = check_physical_realizability(ss, realizability_tol)
-    if not rb.passed:
-        raise RealizabilityError(
-            "left-invertibility classification needs a physically "
-            f"realizable system; residuals {rb.residuals}"
-        )
+    require_physical_realizability(
+        ss, realizability_tol, "left-invertibility classification"
+    )
     kal = kalman_decompose(ss, min(tol, 1e-9))
     hm = check_imaginary_hidden_modes(kal, min(tol, 1e-9), real_part_tol=tol)
     if not hm.holds:

@@ -25,10 +25,9 @@ import numpy as np
 from .errors import (
     HiddenModeConditionError,
     NumericalError,
-    RealizabilityError,
     SubspaceToleranceError,
 )
-from .model import StateSpace
+from .model import StateSpace, require_physical_realizability
 from .spectra import SpectrumReport, format_complex
 
 __all__ = [
@@ -285,15 +284,9 @@ def invariant_zeros_via_kalman(
     system can satisfy the hidden-mode condition vacuously while its
     invariant zeros have nothing to do with mirrored eigenvalues).
     """
-    from .model import check_physical_realizability
-
-    rb = check_physical_realizability(ss, realizability_tol)
-    if not rb.passed:
-        raise RealizabilityError(
-            "the observable/unobservable zero formula needs a physically "
-            f"realizable system; residuals {rb.residuals} exceed "
-            f"{realizability_tol}"
-        )
+    require_physical_realizability(
+        ss, realizability_tol, "the observable/unobservable zero formula"
+    )
     kal = kalman_decompose(ss, tol)
     hm = check_imaginary_hidden_modes(kal, tol, real_part_tol)
     if not hm.holds:

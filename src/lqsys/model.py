@@ -15,8 +15,12 @@ doubled-up) or the real quadrature representation obtained by conjugating
 with the unitary V = (1/sqrt 2) [[I, I], [-iI, iI]].
 
 When every parameter entry is an exact rational (int, Fraction, string or
-GaussianRational), the construction is carried out exactly as well and the
-exact quadruple rides along with the floating one.
+GaussianRational), the construction is carried out exactly instead, and the
+floating quadruple is the rounded exact one.  ``to_quadrature``,
+``with_lossless_modes`` and ``random_params`` write their formula once and
+apply it to complex arrays or to numpy object arrays of GaussianRational;
+``build_state_space`` keeps a float and an exact formula, because object
+arrays would slow the exact build, and runs only the one it returns.
 """
 
 from __future__ import annotations
@@ -32,12 +36,14 @@ from .errors import (
     NumericalError,
     ParameterError,
     PoleEvaluationError,
+    RealizabilityError,
 )
 from .linalg import (
     as_matrix,
     doubled_up,
     flat_adjoint,
     frobenius,
+    is_doubled_up,
     sharp_adjoint,
     signature_j,
     symplectic_j,
@@ -48,9 +54,9 @@ from .spectra import format_complex
 __all__ = [
     "QSystemParams",
     "StateSpace",
-    "RepresentationMap",
     "build_state_space",
     "check_physical_realizability",
+    "require_physical_realizability",
     "RealizabilityReport",
     "to_quadrature",
     "frequency_response",
@@ -145,28 +151,6 @@ class QSystemParams:
     @property
     def is_exact(self):
         return self.exact is not None
-
-
-@dataclass(frozen=True)
-class RepresentationMap:
-    """The block unitary V_k = (1/sqrt 2) [[I, I], [-iI, iI]] that carries
-    doubled-up complex matrices to real quadrature ones."""
-
-    n: int
-    m: int
-
-    @staticmethod
-    def unitary(k):
-        i = np.eye(k)
-        return np.block([[i, i], [-1j * i, 1j * i]]) / np.sqrt(2)
-
-    @property
-    def v_n(self):
-        return self.unitary(self.n)
-
-    @property
-    def v_m(self):
-        return self.unitary(self.m)
 
 
 def frozen_eigvals(mat):
@@ -280,33 +264,35 @@ class StateSpace:
 
 def build_state_space(params: QSystemParams) -> StateSpace:
     """Construct the annihilation-representation quadruple from physical
-    parameters; realizability identities hold by construction."""
+    parameters; realizability identities hold by construction.
+
+    Exact parameters are built on their exact blocks and converted with
+    ``xl.to_numpy``; float parameters are built in numpy.  Only the
+    branch that is returned is computed.
+    """
     n, m = params.n, params.m
-    omega = doubled_up(params.omega_minus, params.omega_plus)
-    c = doubled_up(params.c_minus, params.c_plus)
-    d = np.eye(2 * m, dtype=complex)
-    cflat = flat_adjoint(c)
-    b = -cflat @ d
-    a = -1j * signature_j(n) @ omega - 0.5 * cflat @ c
-
-    exact = None
-    if params.is_exact:
-        ex = params.exact
-        omega_x = xl.doubled_up_exact(ex["omega_minus"], ex["omega_plus"])
-        c_x = xl.doubled_up_exact(ex["c_minus"], ex["c_plus"])
-        d_x = xl.mat_eye(2 * m)
-        cflat_x = xl.flat_adjoint_exact(c_x)
-        b_x = xl.mat_neg(xl.mat_mul(cflat_x, d_x))
-        jn = xl.signature_j_exact(n)
-        a_x = xl.mat_sub(
-            xl.mat_scale(GaussianRational(0, -1), xl.mat_mul(jn, omega_x)),
-            xl.mat_scale(Fraction(1, 2), xl.mat_mul(cflat_x, c_x)),
-        )
-        exact = {"A": a_x, "B": b_x, "C": c_x, "D": d_x}
-        a, b, c, d = (xl.to_numpy(x) for x in (a_x, b_x, c_x, d_x))
-
+    if not params.is_exact:
+        omega = doubled_up(params.omega_minus, params.omega_plus)
+        c = doubled_up(params.c_minus, params.c_plus)
+        d = np.eye(2 * m, dtype=complex)
+        cflat = flat_adjoint(c)
+        b = -cflat @ d
+        a = -1j * signature_j(n) @ omega - 0.5 * cflat @ c
+        return StateSpace(A=a, B=b, C=c, D=d, representation="annihilation")
+    ex = params.exact
+    omega_x = xl.doubled_up_exact(ex["omega_minus"], ex["omega_plus"])
+    c_x = xl.doubled_up_exact(ex["c_minus"], ex["c_plus"])
+    d_x = xl.mat_eye(2 * m)
+    cflat_x = xl.flat_adjoint_exact(c_x)
+    b_x = xl.mat_neg(xl.mat_mul(cflat_x, d_x))
+    jn = xl.signature_j_exact(n)
+    a_x = xl.mat_sub(
+        xl.mat_scale(GaussianRational(0, -1), xl.mat_mul(jn, omega_x)),
+        xl.mat_scale(Fraction(1, 2), xl.mat_mul(cflat_x, c_x)),
+    )
+    exact = {"A": a_x, "B": b_x, "C": c_x, "D": d_x}
     return StateSpace(
-        A=a, B=b, C=c, D=d,
+        **{k: xl.to_numpy(v) for k, v in exact.items()},
         representation="annihilation", exact=exact,
     )
 
@@ -355,58 +341,60 @@ def check_physical_realizability(ss: StateSpace, tol=1e-10) -> RealizabilityRepo
     )
 
 
+def require_physical_realizability(ss: StateSpace, tol, purpose):
+    """Refuse, with RealizabilityError, a system whose realizability
+    residuals exceed ``tol``; ``purpose`` names the computation that needs
+    the identities and opens the message."""
+    rb = check_physical_realizability(ss, tol)
+    if not rb.passed:
+        raise RealizabilityError(
+            f"{purpose} needs a physically realizable system; residuals "
+            f"{rb.residuals} exceed {tol}"
+        )
+
+
 def to_quadrature(ss: StateSpace) -> StateSpace:
     """Conjugate an annihilation-representation system with the quadrature
-    unitary; the result is real and shares the eigenvalues of A.
+    unitary V; the result is real and shares the eigenvalues of A.
 
-    On doubled-up blocks the conjugation reduces to
+    On a doubled-up matrix the conjugation V X V^H reduces to
 
         [[U, W], [conj(W), conj(U)]]  ->  [[Re(U+W), -Im(U-W)],
                                            [Im(U+W),  Re(U-W)]]
 
-    which is used verbatim on the exact path.
+    with Re z = (z + conj z)/2 and Im z = (z - conj z)/2i, which are exact
+    on complex floats and on GaussianRational alike.  An exact system is
+    converted on its exact matrices, as numpy object arrays, and stays
+    exact.  The formula reads only the upper block row, so the input is
+    checked first: an odd-sized matrix raises DimensionError, and one that
+    is not doubled up (relative tolerance 1e-10) raises NumericalError.
     """
     if ss.representation != "annihilation":
         raise ParameterError("to_quadrature expects an annihilation system")
-    rep = RepresentationMap(ss.n, ss.m)
-    vn, vm = rep.v_n, rep.v_m
-    mats = {
-        "A": vn @ ss.A @ vn.conj().T,
-        "B": vn @ ss.B @ vm.conj().T,
-        "C": vm @ ss.C @ vn.conj().T,
-        "D": vm @ ss.D @ vm.conj().T,
-    }
-    scale = max(1.0, *(frobenius(v) for v in mats.values()))
-    worst = max(
-        (np.max(np.abs(v.imag)) if v.size else 0.0) for v in mats.values()
-    )
-    if worst > 1e-10 * scale:
-        raise NumericalError(
-            "quadrature conversion left imaginary residue "
-            f"{worst:.3e}; input is not doubled-up"
-        )
-    exact = None
+    mats = {"A": ss.A, "B": ss.B, "C": ss.C, "D": ss.D}
+    for name, x in mats.items():
+        if not is_doubled_up(x, 1e-10):
+            raise NumericalError(
+                f"quadrature conversion needs doubled-up matrices; {name} "
+                "is not doubled-up"
+            )
     if ss.is_exact:
-        exact = {k: _quadrature_exact(v) for k, v in ss.exact.items()}
-        mats = {k: xl.to_numpy(v).real for k, v in exact.items()}
-    else:
-        mats = {k: v.real for k, v in mats.items()}
+        mats = {k: np.array(v, dtype=object) for k, v in ss.exact.items()}
+    quad = {k: _quadrature_blocks(x) for k, x in mats.items()}
     return StateSpace(
-        A=mats["A"], B=mats["B"], C=mats["C"], D=mats["D"],
-        representation="quadrature", exact=exact,
+        **{k: x.astype(complex).real for k, x in quad.items()},
+        representation="quadrature",
+        exact={k: x.tolist() for k, x in quad.items()} if ss.is_exact else None,
     )
 
 
-def _quadrature_exact(x):
-    rows, cols = xl.shape(x)
-    k, r = rows // 2, cols // 2
-    u = [row[:r] for row in x[:k]]
-    w = [row[r:] for row in x[:k]]
-    re = lambda blk: [[GaussianRational(e.re) for e in row] for row in blk]
-    im = lambda blk: [[GaussianRational(e.im) for e in row] for row in blk]
-    usum = xl.mat_add(u, w)
-    udif = xl.mat_sub(u, w)
-    return xl.mat_block([[re(usum), xl.mat_neg(im(udif))], [im(usum), re(udif)]])
+def _quadrature_blocks(x):
+    k, r = x.shape[0] // 2, x.shape[1] // 2
+    plus = x[:k, :r] + x[:k, r:]
+    minus = x[:k, :r] - x[:k, r:]
+    re = lambda z: (z + np.conj(z)) / 2
+    im = lambda z: (z - np.conj(z)) / 2j
+    return np.block([[re(plus), -im(minus)], [im(plus), re(minus)]])
 
 
 def frequency_response(ss: StateSpace, s, pole_tol=1e-9):
@@ -502,43 +490,34 @@ def random_params(seed, n, m, passive=False, exact=False) -> QSystemParams:
     """Seeded random physical parameters meeting all invariants.
 
     ``passive`` forces omega_plus = 0 and c_plus = 0 (such systems have no
-    active squeezing terms and all hidden modes purely imaginary);
-    ``exact`` draws small Gaussian-rational entries instead of floats.
+    active squeezing terms and all hidden modes purely imaginary).  The
+    entries are standard complex normals, or with ``exact`` small
+    Gaussian rationals (p + q i with p, q in {-3..3}/{1..3}, drawn entry by
+    entry); one formula builds the blocks from either draw.  The exact
+    Hermitian parts are t + t^H, without the 1/2 of the float ones: the
+    recorded Smith-McMillan certificates pin those draws.
     """
     rng = _rng(seed)
     if exact:
         def frac():
             return Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
 
-        def gmat(r, c):
-            return [
-                [GaussianRational(frac(), frac()) for _ in range(c)]
-                for _ in range(r)
-            ]
+        def cmat(r, c):
+            draws = [GaussianRational(frac(), frac()) for _ in range(r * c)]
+            return np.array(draws, dtype=object).reshape(r, c)
+    else:
+        def cmat(r, c):
+            return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
 
-        t = gmat(n, n)
-        om = xl.mat_add(t, xl.hermitian_t(t))
-        if passive:
-            op = xl.mat_zeros(n, n)
-            cp = xl.mat_zeros(m, n)
-        else:
-            s_ = gmat(n, n)
-            op = xl.mat_add(s_, xl.transpose(s_))
-            cp = gmat(m, n)
-        cm = gmat(m, n)
-        return QSystemParams.create(om, op, cm, cp)
-
-    def cmat(r, c):
-        return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
-
+    scale = 1 if exact else 0.5
     t = cmat(n, n)
-    om = (t + t.conj().T) / 2
+    om = (t + t.conj().T) * scale
     if passive:
-        op = np.zeros((n, n), dtype=complex)
-        cp = np.zeros((m, n), dtype=complex)
+        op = np.zeros((n, n), dtype=t.dtype)
+        cp = np.zeros((m, n), dtype=t.dtype)
     else:
         s_ = cmat(n, n)
-        op = (s_ + s_.T) / 2
+        op = (s_ + s_.T) * scale
         cp = cmat(m, n)
     cm = cmat(m, n)
     return QSystemParams.create(om, op, cm, cp)
@@ -553,46 +532,31 @@ def with_lossless_modes(params: QSystemParams, freqs) -> QSystemParams:
 
     The new modes get diagonal entries in omega_minus and zero columns in
     both coupling blocks, so they are uncontrollable and unobservable with
-    purely imaginary eigenvalues +-i*freq.
+    purely imaginary eigenvalues +-i*freq.  Exact parameters with exact
+    frequencies give exact parameters, built on the exact blocks as numpy
+    object arrays; a float frequency gives float parameters.  A frequency
+    with an imaginary part raises ParameterError.
     """
     freqs = list(freqs)
     k = len(freqs)
     n, m = params.n, params.m
+    keys = ("omega_minus", "omega_plus", "c_minus", "c_plus")
     if params.is_exact and all(isinstance(f, _EXACT_SCALARS) for f in freqs):
-        ex = params.exact
-        om = xl.mat_block(
-            [
-                [ex["omega_minus"], xl.mat_zeros(n, k)],
-                [xl.mat_zeros(k, n), xl.diag_exact(freqs)],
-            ]
-        )
-        op = xl.mat_block(
-            [
-                [ex["omega_plus"], xl.mat_zeros(n, k)],
-                [xl.mat_zeros(k, n), xl.mat_zeros(k, k)],
-            ]
-        )
-        cm = [row[:] + [GaussianRational(0)] * k for row in ex["c_minus"]]
-        cp = [row[:] + [GaussianRational(0)] * k for row in ex["c_plus"]]
-        return QSystemParams.create(om, op, cm, cp)
-    for f in freqs:
-        if abs(complex(f).imag) > 0:
-            raise ParameterError("lossless mode frequencies must be real")
-    om = np.block(
-        [
-            [params.omega_minus, np.zeros((n, k))],
-            [np.zeros((k, n)), np.diag([complex(f).real for f in freqs])],
-        ]
+        om, op, cm, cp = (np.array(params.exact[key], dtype=object) for key in keys)
+        freqs = [GaussianRational.of(f) for f in freqs]
+    else:
+        om, op, cm, cp = (getattr(params, key) for key in keys)
+        freqs = [complex(f) for f in freqs]
+    if any(f != f.conjugate() for f in freqs):
+        raise ParameterError("lossless mode frequencies must be real")
+    # int zeros take the dtype of the blocks they join, so exact stays exact
+    zeros = lambda r, c: np.zeros((r, c), dtype=int)
+    return QSystemParams.create(
+        np.block([[om, zeros(n, k)], [zeros(k, n), np.diag(freqs)]]),
+        np.block([[op, zeros(n, k)], [zeros(k, n), zeros(k, k)]]),
+        np.hstack([cm, zeros(m, k)]),
+        np.hstack([cp, zeros(m, k)]),
     )
-    op = np.block(
-        [
-            [params.omega_plus, np.zeros((n, k))],
-            [np.zeros((k, n)), np.zeros((k, k))],
-        ]
-    )
-    cm = np.hstack([params.c_minus, np.zeros((m, k))])
-    cp = np.hstack([params.c_plus, np.zeros((m, k))])
-    return QSystemParams.create(om, op, cm, cp)
 
 
 def passive_cavity(omega=1, kappa=2) -> QSystemParams:

@@ -24,7 +24,7 @@ from math import gcd, lcm
 
 from .errors import ExactnessError, ParameterError, PoleEvaluationError
 
-__all__ = ["GaussianRational", "Poly", "RationalFn", "GR_ZERO", "GR_ONE", "GR_I"]
+__all__ = ["GaussianRational", "Poly", "RationalFn", "GR_ZERO", "GR_ONE"]
 
 
 def _to_fraction(x):
@@ -221,7 +221,6 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 
 def content(polys):
@@ -835,7 +834,3 @@ class RationalFn:
 def _is_atom(txt):
     core = txt[1:] if txt.startswith("-") else txt
     return all(ch not in core for ch in "+-")
-
-
-RF_ZERO = RationalFn(POLY_ZERO)
-RF_ONE = RationalFn(POLY_ONE)

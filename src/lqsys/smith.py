@@ -428,15 +428,17 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
 # root extraction
 
 
-def _rationalize(z, max_den=10**6):
-    cand = GaussianRational(
-        Fraction(z.real).limit_denominator(max_den),
-        Fraction(z.imag).limit_denominator(max_den),
+_MAX_DEN = 10**6  # largest denominator tried for a rational root
+
+
+def _rationalize(z):
+    return GaussianRational(
+        Fraction(z.real).limit_denominator(_MAX_DEN),
+        Fraction(z.imag).limit_denominator(_MAX_DEN),
     )
-    return cand
 
 
-def polynomial_roots_exact_first(poly: Poly, numeric_tol=1e-10):
+def polynomial_roots_exact_first(poly: Poly):
     """Roots of an exact polynomial: exact linear factors are split off by
     rationalizing numeric root estimates and verifying p(root) = 0 exactly;
     whatever remains is handed to a companion-matrix solve and flagged.

@@ -27,14 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactlinalg as xl
-from .errors import NumericalError, ParameterError, RealizabilityError
+from .errors import NumericalError, ParameterError
 from .kalman import minimal_realization
 from .linalg import flat_adjoint, rank_at_tolerance, sharp_adjoint
 from .model import (
     StateSpace,
-    check_physical_realizability,
     frequency_response,
     frozen_eigvals,
+    require_physical_realizability,
 )
 from .rational import GR_ONE
 from .smith import RationalMatrix, smith_mcmillan, zeros_poles_from_smf
@@ -172,21 +172,12 @@ def invariant_zeros_flat(
     constraints, so the computation refuses systems whose realizability
     residual exceeds ``realizability_tol``.
     """
-    rb = check_physical_realizability(ss, realizability_tol)
-    if not rb.passed:
-        raise RealizabilityError(
-            "flat-adjoint zero computation needs a physically realizable "
-            f"system; residuals {rb.residuals} exceed {realizability_tol}"
-        )
+    require_physical_realizability(
+        ss, realizability_tol, "flat-adjoint zero computation"
+    )
     return SpectrumReport.from_values(
         _adjoint_spectrum(ss), tol=tol, method="flat_adjoint"
     )
-
-
-def _as_rational_matrix(obj):
-    if isinstance(obj, RationalMatrix):
-        return obj
-    return None
 
 
 def poles(system, tol=1e-9) -> SpectrumReport:
@@ -198,9 +189,8 @@ def poles(system, tol=1e-9) -> SpectrumReport:
     block and its memoized eigenvalues; for a RationalMatrix it is read
     off the Smith-McMillan denominators.
     """
-    g = _as_rational_matrix(system)
-    if g is not None:
-        _, pole_rep = zeros_poles_from_smf(smith_mcmillan(g), tol)
+    if isinstance(system, RationalMatrix):
+        _, pole_rep = zeros_poles_from_smf(smith_mcmillan(system), tol)
         return pole_rep
     mini = minimal_realization(system, tol)
     return SpectrumReport.from_values(mini.eigenvalues(), tol=tol, method="minimal")
@@ -210,9 +200,8 @@ def transmission_zeros(system, tol=1e-9) -> SpectrumReport:
     """Transmission zeros: Smith-McMillan numerator roots (exact path), or
     the invariant zeros of the minimal realization (numeric path), which
     coincide for minimal realizations."""
-    g = _as_rational_matrix(system)
-    if g is not None:
-        zero_rep, _ = zeros_poles_from_smf(smith_mcmillan(g), tol)
+    if isinstance(system, RationalMatrix):
+        zero_rep, _ = zeros_poles_from_smf(smith_mcmillan(system), tol)
         return zero_rep
     mini = minimal_realization(system, tol)
     rep = invariant_zeros_pencil(mini, tol)

@@ -2,21 +2,34 @@ import numpy as np
 import pytest
 
 from lqsys import (
+    DimensionError,
+    GaussianRational,
     NumericalError,
     ParameterError,
     PoleEvaluationError,
     QSystemParams,
+    RealizabilityError,
     StateSpace,
     build_state_space,
     check_physical_realizability,
+    classify_left_invertibility,
     flat_adjoint,
     frequency_response,
+    invariant_zeros_flat,
+    invariant_zeros_via_kalman,
     random_params,
     to_quadrature,
     verify_inverse_identity,
     with_lossless_modes,
 )
+from lqsys import exactlinalg as xl
 from lqsys.model import dual_adjoint
+
+
+def quadrature_unitary(k):
+    """V_k = (1/sqrt 2) [[I, I], [-iI, iI]]."""
+    i = np.eye(k)
+    return np.block([[i, i], [-1j * i, 1j * i]]) / np.sqrt(2)
 
 
 class TestBuildStateSpace:
@@ -122,23 +135,55 @@ class TestQuadrature:
         assert np.max(np.abs(eigs.real)) < 1e-12
 
     def test_exact_path(self):
-        ss = build_state_space(random_params(1, 2, 1, exact=True))
-        q = to_quadrature(ss)
-        assert q.is_exact
-        # exact and floating conversions agree
-        assert np.allclose(q.A, to_quadrature(
-            StateSpace.from_matrices(ss.A, ss.B, ss.C, ss.D)
-        ).A)
+        for seed, n, m in ((1, 2, 1), (4, 3, 2)):
+            ss = build_state_space(random_params(seed, n, m, exact=True))
+            q = to_quadrature(ss)
+            assert q.is_exact
+            # exact and floating conversions agree
+            qf = to_quadrature(StateSpace.from_matrices(ss.A, ss.B, ss.C, ss.D))
+            assert not qf.is_exact
+            for name in "ABCD":
+                exact = q.exact[name]
+                assert all(x.is_real() for row in exact for x in row)
+                as_float = xl.to_numpy(exact)
+                assert np.array_equal(as_float.real, getattr(q, name))
+                ref = getattr(qf, name)
+                assert np.linalg.norm(as_float - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_rejects_quadrature_input(self, quad_hidden_pair):
         with pytest.raises(ParameterError):
             to_quadrature(quad_hidden_pair)
 
     def test_rejects_non_doubled_up(self):
-        ss = StateSpace.from_matrices(
-            [[1, 2], [3, 4]], [[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]
-        )
-        with pytest.raises(NumericalError):
+        for scalar in (int, float):
+            eye = [[scalar(1), scalar(0)], [scalar(0), scalar(1)]]
+            a = [[scalar(1), scalar(2)], [scalar(3), scalar(4)]]
+            ss = StateSpace.from_matrices(a, eye, eye, eye)
+            assert ss.is_exact == (scalar is int)
+            with pytest.raises(NumericalError):
+                to_quadrature(ss)
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 20])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_block_formula_matches_unitary_conjugation(self, n, m):
+        ss = build_state_space(random_params(100 * n + m, n, m))
+        q = to_quadrature(ss)
+        vn, vm = quadrature_unitary(n), quadrature_unitary(m)
+        refs = {
+            "A": vn @ ss.A @ vn.conj().T,
+            "B": vn @ ss.B @ vm.conj().T,
+            "C": vm @ ss.C @ vn.conj().T,
+            "D": vm @ ss.D @ vm.conj().T,
+        }
+        for name, ref in refs.items():
+            got = getattr(q, name)
+            assert got.dtype == np.float64
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), name
+
+    def test_odd_dimension_raises_dimension_error(self):
+        one = [[1]]
+        ss = StateSpace.from_matrices(one, one, one, one)
+        with pytest.raises(DimensionError):
             to_quadrature(ss)
 
 
@@ -224,5 +269,45 @@ class TestGenerators:
 
     def test_lossless_extension_exact(self):
         base = random_params(3, 1, 1, passive=True, exact=True)
-        ext = with_lossless_modes(base, [2])
+        ext = with_lossless_modes(base, [2, "1/2", GaussianRational(3)])
         assert ext.is_exact
+        w = base.exact["omega_minus"][0][0]
+        assert ext.exact["omega_minus"] == xl.exact_matrix(
+            [[w, 0, 0, 0], [0, 2, 0, 0], [0, 0, "1/2", 0], [0, 0, 0, 3]]
+        )
+        assert ext.exact["c_minus"] == xl.exact_matrix(
+            [base.exact["c_minus"][0] + [0, 0, 0]]
+        )
+
+    def test_lossless_extension_float_frequency_gives_float(self):
+        base = random_params(3, 1, 1, passive=True, exact=True)
+        ext = with_lossless_modes(base, [2, 1.5])
+        assert not ext.is_exact
+        assert np.allclose(np.diag(ext.omega_minus)[1:], [2, 1.5])
+        assert np.allclose(ext.omega_minus[0, 0], base.omega_minus[0, 0])
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("freq", [2 + 1j, GaussianRational(2, 1)])
+    def test_lossless_extension_rejects_complex_frequency(self, exact, freq):
+        base = random_params(3, 1, 1, passive=True, exact=exact)
+        with pytest.raises(ParameterError, match="must be real"):
+            with_lossless_modes(base, [freq])
+
+
+class TestRealizabilityGate:
+    @pytest.mark.parametrize(
+        "compute, phrase",
+        [
+            (invariant_zeros_flat, "flat-adjoint zero computation"),
+            (invariant_zeros_via_kalman, "the observable/unobservable zero formula"),
+            (classify_left_invertibility, "left-invertibility classification"),
+        ],
+    )
+    def test_message_names_computation(self, classical_hidden_mode, compute, phrase):
+        residuals = check_physical_realizability(classical_hidden_mode).residuals
+        with pytest.raises(RealizabilityError) as exc:
+            compute(classical_hidden_mode)
+        assert str(exc.value) == (
+            f"{phrase} needs a physically realizable system; residuals "
+            f"{residuals} exceed 1e-08"
+        )
