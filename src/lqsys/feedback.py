@@ -23,7 +23,12 @@ unbounded fragility to plant uncertainty.
 
 Everything is computed on exact scalar rational functions per quadrature
 (the transfer matrices are diagonal throughout), so identities like the
-q/p duality hold exactly, not just numerically.
+q/p duality hold exactly, not just numerically.  Each closed loop and
+sensitivity is formed from the reduced loop gain P/Q = G_j K_j, once per
+quadrature, as T_j = (alpha Q + P)/(Q + alpha P) and
+S_j = beta^2 P Q / ((Q + alpha P)(alpha Q + P)).  A frequency sweep
+evaluates these exact reduced functions in complex floats, all points of
+one polynomial at once.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .errors import (
     SynthesisError,
     UnsolvableError,
 )
-from .rational import GR_ONE, GaussianRational, Poly, RationalFn
+from .rational import GR_ONE, GR_ZERO, POLY_ONE, GaussianRational, Poly, RationalFn
 
 __all__ = [
     "QuadPlantParams",
@@ -65,7 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadPlantParams:
     """Single-mode quadrature-diagonal system parameters.
 
@@ -126,7 +131,7 @@ def unit_controller() -> QuadPlantParams:
     return QuadPlantParams.create(0, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Beamsplitter:
     """Static mixing element with real parameters alpha, beta on the unit
     circle.  Only alpha and beta^2 = 1 - alpha^2 enter any formula, so
@@ -150,20 +155,34 @@ class Beamsplitter:
         return math.sqrt(float(self.beta_squared))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeedbackNetwork:
     plant: QuadPlantParams
     controller: QuadPlantParams
     bs: Beamsplitter
 
 
+_I = GaussianRational(0, 1)
+_HALF = GaussianRational(Fraction(1, 2))
+
+
+def _factor(n, d) -> RationalFn:
+    """(s + n)/(s + d) for real n != d: distinct roots make it reduced, and
+    it is monic, so it is built without a gcd."""
+    fn = object.__new__(RationalFn)
+    object.__setattr__(fn, "num", Poly([n, GR_ONE]))
+    object.__setattr__(fn, "den", Poly([d, GR_ONE]))
+    return fn
+
+
 def quadrature_transfer(p: QuadPlantParams):
     """(G_q, G_p) as exact rational functions with real coefficients."""
-    iw = GaussianRational(p.i_omega)
-    c = GaussianRational(p.half_coupling)
-    g_q = RationalFn(Poly([iw - c, 1]), Poly([iw + c, 1]))
-    g_p = RationalFn(Poly([-iw - c, 1]), Poly([-iw + c, 1]))
-    return g_q, g_p
+    iw = p.omega_plus * _I  # i * W, real
+    c = p.c_product * _HALF
+    return tuple(
+        RationalFn(POLY_ONE) if n == d else _factor(n, d)
+        for n, d in ((iw - c, iw + c), (-iw - c, c - iw))
+    )
 
 
 def check_quadrature_duality(g_q: RationalFn, g_p: RationalFn) -> bool:
@@ -171,21 +190,42 @@ def check_quadrature_duality(g_q: RationalFn, g_p: RationalFn) -> bool:
     return (g_q * g_p.compose_neg()).is_one()
 
 
+def _loop(net: FeedbackNetwork, closed: bool, sens: bool):
+    """([T_q, T_p] if closed, [S_q, S_p] if sens) from the reduced loop
+    gain P/Q = G_j K_j, formed once per quadrature:
+
+        T_j = (alpha Q + P)/(Q + alpha P),
+        S_j = beta^2 P Q / ((Q + alpha P)(alpha Q + P)).
+
+    Q + alpha P vanishes identically exactly when 1 + alpha G K does.  The
+    closed-loop check runs first, q before p, then the sensitivity check.
+    """
+    alpha = GaussianRational(net.bs.alpha)
+    gains = []
+    for g, k in zip(*map(quadrature_transfer, (net.plant, net.controller))):
+        gk = g * k
+        gains.append((gk.num, gk.den, gk.den + gk.num * alpha))
+    ts, ss = [], []
+    if closed:
+        for p, q, den in gains:
+            if den.is_zero():
+                raise DegenerateNetworkError(
+                    "closed-loop denominator 1 + alpha*G*K vanishes identically"
+                )
+            ts.append(RationalFn(q * alpha + p, den))
+    if sens:
+        beta2 = GaussianRational(net.bs.beta_squared)
+        for p, q, den in gains:
+            den = den * (q * alpha + p)
+            if den.is_zero():
+                raise DegenerateNetworkError("sensitivity denominator vanishes")
+            ss.append(RationalFn(p * q * beta2, den))
+    return ts, ss
+
+
 def closed_loop(net: FeedbackNetwork):
     """(T_q, T_p) of the beamsplitter loop, as reduced rational functions."""
-    alpha = GaussianRational(net.bs.alpha)
-    out = []
-    for gj, kj in zip(
-        quadrature_transfer(net.plant), quadrature_transfer(net.controller)
-    ):
-        gk = gj * kj
-        den = 1 + RationalFn.of(alpha) * gk
-        if den.is_zero():
-            raise DegenerateNetworkError(
-                "closed-loop denominator 1 + alpha*G*K vanishes identically"
-            )
-        out.append((RationalFn.of(alpha) + gk) / den)
-    return tuple(out)
+    return tuple(_loop(net, True, False)[0])
 
 
 def _squeezing_xy(plant: QuadPlantParams, controller: QuadPlantParams):
@@ -220,7 +260,7 @@ def squeezing_residual(net: FeedbackNetwork, quadrature: str) -> GaussianRationa
     return (one + alpha) * x + (one - alpha) * y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlphaSolution:
     """Mixing parameter solving the ideal-squeezing condition.
 
@@ -258,20 +298,24 @@ def solve_alpha_for_squeezing(
     """
     if quadrature not in ("q", "p"):
         raise ParameterError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
-    idx = 0 if quadrature == "q" else 1
-    gj = quadrature_transfer(plant)[idx]
-    kj = quadrature_transfer(controller)[idx]
-    gk = gj * kj
-    origin = GaussianRational(0)
-    den0 = gk.den(origin)
-    if den0.is_zero():
+    gain = _gain_at_origin(plant, controller, 0 if quadrature == "q" else 1)
+    if gain is None:
         raise UnsolvableError(
             "loop gain has a pole at the origin; the ideal-squeezing "
             "condition has no solution for this pair"
         )
-    val = gk.num(origin) / den0
-    raw = -val.re
+    raw = -gain
     return AlphaSolution(raw=raw, physical=abs(raw) <= 1)
+
+
+def _gain_at_origin(plant, controller, idx) -> Fraction | None:
+    """(G_j K_j)(0) on the reduced loop gain, or None where it has a pole
+    at the origin."""
+    gk = quadrature_transfer(plant)[idx] * quadrature_transfer(controller)[idx]
+    den0 = gk.den(GR_ZERO)
+    if den0.is_zero():
+        return None
+    return (gk.num(GR_ZERO) / den0).re
 
 
 def unit_controller_alpha_formula(plant: QuadPlantParams, sign: str) -> Fraction:
@@ -301,39 +345,57 @@ def synthesize_matched_controller(
     plant: QuadPlantParams, alpha, sign: str
 ) -> GaussianRational:
     """Pump parameter W' for a controller sharing the plant's couplings so
-    that the loop squeezes ideally at one quadrature:
+    that the loop squeezes ideally at one quadrature, alpha + (G_j K_j)(0)
+    = 0 on the reduced loop gain; '-' targets the q quadrature, '+' the p
+    quadrature.
 
-        W' = (-+ i c2 / 2) * ((1+a) c2 -+ 2(1-a) iW) / ((1-a) c2 -+ 2(1+a) iW)
+    Write c = (1/2) Cq Cp, G_j = (s + n)/(s + d) for the plant and
+    y = +-x for x = i W' (upper sign q), so that K_j = (s + y - c)/(s + y + c):
 
-    with c2 = Cq Cp; the upper signs ('-') target the q quadrature, the
-    lower ('+') the p quadrature.  The result is validated to be purely
-    imaginary and to zero the corresponding squeezing residual.
+    - c = 0: G_j = K_j = 1 for every W', so only alpha = -1 is solved
+      (by W' = 0);
+    - n, d != 0: K_j(0) = (y - c)/(y + c) must equal k = -alpha d / n,
+      so y = c (1 + k)/(1 - k); refused when k = 1, which no real y gives;
+    - d = 0: G_j's pole at the origin must be cancelled by K_j's zero
+      (y = c), which leaves a loop gain of -1 there, so only alpha = 1;
+    - n = 0: the loop gain is 0 at the origin unless K_j's pole there
+      (y = -c) cancels G_j's zero and leaves -1, so alpha = 0 takes any
+      y != -c (y = c, the value the generic rule gives) and alpha = 1
+      takes y = -c.
+
+    The result is checked on the reduced loop gain, as in
+    solve_alpha_for_squeezing.
     """
     if sign not in ("+", "-"):
         raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
-    a = GaussianRational(Fraction(alpha))
-    c2 = plant.c_product
-    iw = plant.omega_plus * GaussianRational(0, 1)  # i * W, real
-    one = GR_ONE
-    s = -one if sign == "-" else one
-    num = (one + a) * c2 + s * 2 * (one - a) * iw
-    den = (one - a) * c2 + s * 2 * (one + a) * iw
-    if den.is_zero():
-        raise SynthesisError("matched-controller synthesis denominator vanishes")
-    w_prime = s * GaussianRational(0, Fraction(1, 2)) * c2 * num / den
-    if not w_prime.is_imaginary():
+    a = Fraction(alpha)
+    idx = 0 if sign == "-" else 1
+    c = plant.half_coupling
+    iw = plant.i_omega if sign == "-" else -plant.i_omega
+    n, d = iw - c, iw + c
+    if c == 0:
+        ok, y, why = a == -1, 0, "the loop gain is identically 1, so only alpha = -1"
+    elif d == 0:
+        ok, y, why = a == 1, c, "a plant pole at the origin admits only alpha = 1"
+    elif n == 0:
+        ok, y = a in (0, 1), (c if a == 0 else -c)
+        why = "a plant zero at the origin admits only alpha = 0 or 1"
+    else:
+        k = -a * d / n
+        if k == 1:
+            raise SynthesisError("matched-controller synthesis denominator vanishes")
+        ok, y = True, c * (1 + k) / (1 - k)
+    if not ok:
         raise SynthesisError(
-            f"synthesized pump {w_prime} is not purely imaginary; the "
-            "parameter regime violates the diagonal-quadrature assumptions"
+            f"no matched controller places the zero at the origin: {why}"
         )
+    w_prime = GaussianRational(0, -y if sign == "-" else y)
+    Beamsplitter.create(a)  # ParameterError for |alpha| > 1
     controller = QuadPlantParams.create(w_prime, plant.c_q, plant.c_p)
-    quadrature = "q" if sign == "-" else "p"
-    residual = squeezing_residual(
-        FeedbackNetwork(plant, controller, Beamsplitter.create(a.re)), quadrature
-    )
-    if not residual.is_zero():
+    gain = _gain_at_origin(plant, controller, idx)
+    if gain is None or a + gain != 0:
         raise SynthesisError(
-            f"synthesis self-check failed: residual {residual} nonzero"
+            "synthesis self-check failed: alpha + G K does not vanish at the origin"
         )
     return w_prime
 
@@ -346,18 +408,7 @@ def matched_controller(plant: QuadPlantParams, alpha, sign: str) -> QuadPlantPar
 
 def sensitivity_functions(net: FeedbackNetwork):
     """(S_q, S_p) as exact rational functions."""
-    alpha = RationalFn.of(GaussianRational(net.bs.alpha))
-    beta2 = RationalFn.of(GaussianRational(net.bs.beta_squared))
-    out = []
-    for gj, kj in zip(
-        quadrature_transfer(net.plant), quadrature_transfer(net.controller)
-    ):
-        gk = gj * kj
-        den = (1 + alpha * gk) * (alpha + gk)
-        if den.is_zero():
-            raise DegenerateNetworkError("sensitivity denominator vanishes")
-        out.append(beta2 * gk / den)
-    return tuple(out)
+    return tuple(_loop(net, False, True)[1])
 
 
 def sensitivity(net: FeedbackNetwork, s) -> tuple:
@@ -379,21 +430,32 @@ def frequency_sweep(net: FeedbackNetwork, w_from, w_to, points):
         raise ParameterError("sweep needs at least one point")
     if w_from <= 0 or w_to <= 0:
         raise ParameterError("sweep endpoints must be positive frequencies")
-    t_q, t_p = closed_loop(net)
-    s_q, s_p = sensitivity_functions(net)
-    rows = []
-    for w in np.logspace(math.log10(w_from), math.log10(w_to), points):
-        s = 1j * float(w)
-        rows.append(
-            (
-                float(w),
-                abs(complex(t_q(s))),
-                abs(complex(t_p(s))),
-                abs(complex(s_q(s))),
-                abs(complex(s_p(s))),
-            )
-        )
-    return rows
+    ts, ss = _loop(net, True, True)
+    fns = ts + ss
+    ws = np.logspace(math.log10(w_from), math.log10(w_to), points).tolist()
+    z = 1j * np.array(ws)
+    dens = [_horner(fn.den, z) for fn in fns]
+    for w, row in zip(ws, zip(*dens)):
+        if 0 in row:
+            s = 1j * w
+            raise PoleEvaluationError(s, s)
+    # the quotient and abs run on Python complex scalars: numpy divides by
+    # multiplying with a reciprocal, and np.abs may differ from abs in the
+    # last bit, which the 17 digits of the CSV would show
+    cols = [
+        [abs(x / y) for x, y in zip(_horner(fn.num, z), d)]
+        for fn, d in zip(fns, dens)
+    ]
+    return list(zip(ws, *cols))
+
+
+def _horner(poly: Poly, z: np.ndarray) -> list:
+    """poly at every point of the complex array z, as a list of Python
+    complex numbers, by the same steps as Poly.__call__ takes at one point."""
+    acc = np.zeros_like(z)
+    for c in poly.horner_coeffs():
+        acc = acc * z + c
+    return acc.tolist()
 
 
 def write_sweep_csv(rows, fh):

@@ -72,11 +72,17 @@ def split_doubled_up(x):
 
 
 def is_doubled_up(x, tol=1e-12):
-    """True when the lower block row equals the conjugate of the upper one."""
-    x = as_matrix(x)
+    """True when the lower block row equals the conjugate of the upper one:
+    within tol relative to the Frobenius norm, or exactly, with tol unread,
+    for a numpy object array of exact scalars."""
+    exact = isinstance(x, np.ndarray) and x.dtype == object
+    if not exact:
+        x = as_matrix(x)
     k, r = _require_even(x)
     u, v = x[:k, :r], x[:k, r:]
     lower = np.block([v.conj(), u.conj()])
+    if exact:
+        return bool((x[k:, :] == lower).all())
     scale = max(1.0, frobenius(x))
     return frobenius(x[k:, :] - lower) <= tol * scale
 

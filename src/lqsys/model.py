@@ -97,7 +97,8 @@ class QSystemParams:
     """Physical parameters of an n-mode, m-field linear quantum system.
 
     omega_minus must be Hermitian and omega_plus symmetric so that the
-    doubled-up Hamiltonian matrix is Hermitian; the scattering matrix is
+    doubled-up Hamiltonian matrix is Hermitian (checked exactly for exact
+    input, within 1e-12 relative for floats); the scattering matrix is
     fixed to the identity.
     """
 
@@ -125,11 +126,6 @@ class QSystemParams:
             raise ParameterError(
                 f"coupling blocks must be m x n, got {cm.shape}, {cp.shape}"
             )
-        scale = max(1.0, frobenius(om), frobenius(op))
-        if frobenius(om - om.conj().T) > 1e-12 * scale:
-            raise ParameterError("omega_minus must be Hermitian")
-        if frobenius(op - op.T) > 1e-12 * scale:
-            raise ParameterError("omega_plus must be symmetric")
         exact = None
         if all(x is not None for x in (om_x, op_x, cm_x, cp_x)):
             exact = {
@@ -138,6 +134,17 @@ class QSystemParams:
                 "c_minus": cm_x,
                 "c_plus": cp_x,
             }
+            pairs = [(i, j) for i in range(n) for j in range(i + 1)]
+            hermitian = all(om_x[i][j] == om_x[j][i].conjugate() for i, j in pairs)
+            symmetric = all(op_x[i][j] == op_x[j][i] for i, j in pairs)
+        else:
+            scale = max(1.0, frobenius(om), frobenius(op))
+            hermitian = frobenius(om - om.conj().T) <= 1e-12 * scale
+            symmetric = frobenius(op - op.T) <= 1e-12 * scale
+        if not hermitian:
+            raise ParameterError("omega_minus must be Hermitian")
+        if not symmetric:
+            raise ParameterError("omega_plus must be symmetric")
         return cls(
             n=n,
             m=m,
@@ -367,19 +374,20 @@ def to_quadrature(ss: StateSpace) -> StateSpace:
     converted on its exact matrices, as numpy object arrays, and stays
     exact.  The formula reads only the upper block row, so the input is
     checked first: an odd-sized matrix raises DimensionError, and one that
-    is not doubled up (relative tolerance 1e-10) raises NumericalError.
+    is not doubled up (relative tolerance 1e-10 for floats, exactly for
+    exact input) raises NumericalError.
     """
     if ss.representation != "annihilation":
         raise ParameterError("to_quadrature expects an annihilation system")
     mats = {"A": ss.A, "B": ss.B, "C": ss.C, "D": ss.D}
+    if ss.is_exact:
+        mats = {k: np.array(v, dtype=object) for k, v in ss.exact.items()}
     for name, x in mats.items():
         if not is_doubled_up(x, 1e-10):
             raise NumericalError(
                 f"quadrature conversion needs doubled-up matrices; {name} "
                 "is not doubled-up"
             )
-    if ss.is_exact:
-        mats = {k: np.array(v, dtype=object) for k, v in ss.exact.items()}
     quad = {k: _quadrature_blocks(x) for k, x in mats.items()}
     return StateSpace(
         **{k: x.astype(complex).real for k, x in quad.items()},

@@ -657,17 +657,23 @@ class Poly:
                 wk *= w
                 ax, ay = ax * u - ay * v + xs[k] * wk, ax * v + ay * u + ys[k] * wk
             return _gr(ax, ay, self._q * wk)
+        z = complex(x)
+        acc = 0j
+        for c in self.horner_coeffs():
+            acc = acc * z + c
+        return acc
+
+    def horner_coeffs(self):
+        """The coefficients as complex floats, highest degree first, in the
+        order Horner's rule reads them; built on first use and kept."""
         try:
-            cz = self._cz
+            return self._cz
         except AttributeError:
             # x/q rounds correctly, so these equal complex(c) for each c
             q = self._q
-            cz = self._cz = [complex(a / q, b / q) for a, b in zip(xs, ys)][::-1]
-        z = complex(x)
-        acc = 0j
-        for c in cz:
-            acc = acc * z + c
-        return acc
+            cz = [complex(a / q, b / q) for a, b in zip(self._xs, self._ys)]
+            self._cz = cz[::-1]
+            return self._cz
 
     # -- protocol ----------------------------------------------------------
 

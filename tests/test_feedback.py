@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqsys import (
     Beamsplitter,
+    DegenerateNetworkError,
     FeedbackNetwork,
+    LqsysError,
     ParameterError,
     PoleEvaluationError,
     QuadPlantParams,
@@ -19,6 +23,7 @@ from lqsys import (
     matched_controller,
     quadrature_transfer,
     sensitivity,
+    sensitivity_functions,
     solve_alpha_for_squeezing,
     squeezing_residual,
     synthesize_matched_controller,
@@ -29,6 +34,7 @@ from lqsys.feedback import random_network, write_sweep_csv
 from lqsys.rational import GaussianRational as GR, Poly, RationalFn
 
 S = Poly.s()
+prop = settings(deadline=None)
 
 
 @pytest.fixture
@@ -323,3 +329,263 @@ class TestSweep:
         assert closed_loop(net)[0].den == S * S + 1
         with pytest.raises(PoleEvaluationError):
             frequency_sweep(net, 1.0, 1.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# references written here: the general RationalFn arithmetic, reducing every
+# product and quotient by a gcd, and per-point evaluation of the results
+
+
+def ref_transfer(p):
+    iw, c = GR(p.i_omega), GR(p.half_coupling)
+    return (
+        RationalFn(Poly([iw - c, 1]), Poly([iw + c, 1])),
+        RationalFn(Poly([-iw - c, 1]), Poly([-iw + c, 1])),
+    )
+
+
+def ref_gains(net):
+    plant, controller = ref_transfer(net.plant), ref_transfer(net.controller)
+    return [g * k for g, k in zip(plant, controller)]
+
+
+def ref_closed_loop(net):
+    a = RationalFn.of(GR(net.bs.alpha))
+    out = []
+    for gk in ref_gains(net):
+        den = 1 + a * gk
+        if den.is_zero():
+            raise DegenerateNetworkError(
+                "closed-loop denominator 1 + alpha*G*K vanishes identically"
+            )
+        out.append((a + gk) / den)
+    return tuple(out)
+
+
+def ref_sensitivity_functions(net):
+    a = RationalFn.of(GR(net.bs.alpha))
+    b2 = RationalFn.of(GR(net.bs.beta_squared))
+    out = []
+    for gk in ref_gains(net):
+        den = (1 + a * gk) * (a + gk)
+        if den.is_zero():
+            raise DegenerateNetworkError("sensitivity denominator vanishes")
+        out.append(b2 * gk / den)
+    return tuple(out)
+
+
+def ref_sensitivity(net, s):
+    s = complex(s)
+    vals = []
+    for fn in ref_sensitivity_functions(net):
+        den = fn.den(s)
+        scale = max(1.0, max(abs(complex(c)) for c in fn.den.coeffs))
+        if abs(den) <= 1e-13 * scale:
+            raise PoleEvaluationError(s, s)
+        vals.append(complex(fn.num(s)) / den)
+    return tuple(vals)
+
+
+def ref_sweep(net, w_from, w_to, points):
+    if points < 1:
+        raise ParameterError("sweep needs at least one point")
+    if w_from <= 0 or w_to <= 0:
+        raise ParameterError("sweep endpoints must be positive frequencies")
+    fns = ref_closed_loop(net) + ref_sensitivity_functions(net)
+    rows = []
+    for w in np.logspace(math.log10(w_from), math.log10(w_to), points):
+        s = 1j * float(w)
+        rows.append((float(w),) + tuple(abs(complex(fn(s))) for fn in fns))
+    return rows
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except LqsysError as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(net):
+    assert outcome(closed_loop, net) == outcome(ref_closed_loop, net)
+    assert outcome(sensitivity_functions, net) == outcome(
+        ref_sensitivity_functions, net
+    )
+    for s in (0.37 + 1.3j, 2.5j, 0j, 1j):
+        assert outcome(sensitivity, net, s) == outcome(ref_sensitivity, net, s)
+    for sweep in ((1e-3, 1e2, 13), (1.0, 1.0, 1), (0.5, 2.0, 3), (2.0, 0.5, 4)):
+        assert outcome(frequency_sweep, net, *sweep) == outcome(ref_sweep, net, *sweep)
+
+
+def net_of(w_plant, c_plant, w_ctrl, c_ctrl, alpha):
+    return FeedbackNetwork(
+        QuadPlantParams.from_coupling_product(GR(0, w_plant), c_plant),
+        QuadPlantParams.from_coupling_product(GR(0, w_ctrl), c_ctrl),
+        Beamsplitter.create(alpha),
+    )
+
+
+fractions = st.builds(
+    Fraction, st.integers(-4, 4), st.integers(1, 3)
+)
+networks = st.builds(
+    net_of,
+    fractions,
+    fractions,
+    fractions,
+    fractions,
+    st.sampled_from([-1, Fraction(-2, 3), Fraction(-1, 2), 0, Fraction(1, 3), 1]),
+)
+
+# alpha = +-1 and 0, zero coupling products (c = 0, so n = d and the factor
+# is 1), factors that cancel, plant roots at the origin, and lossless
+# closed-loop poles on the sweep grid
+EDGE_NETWORKS = [
+    net_of(0, 0, 0, 0, -1),  # G = K = 1, alpha = -1: degenerate loop
+    net_of(0, 0, 0, 0, 1),
+    net_of(3, 0, Fraction(1, 2), 0, Fraction(1, 2)),
+    net_of(-3, 2, Fraction(-1, 3), 2, -1),
+    net_of(-3, 2, Fraction(-1, 3), 2, 1),
+    net_of(-3, 2, Fraction(-1, 3), 2, 0),
+    net_of(-3, 2, 3, 2, Fraction(1, 4)),  # K_q = 1/G_q: the loop gain is 1
+    net_of(1, 2, 0, 0, Fraction(1, 2)),  # pole of G_q at the origin
+    net_of(-1, 2, -1, 2, Fraction(-1, 2)),  # zero of G_q at the origin
+    net_of(Fraction(3, 2), 3, Fraction(-1, 2), 3, Fraction(1, 2)),  # T_q pole at i
+]
+
+
+class TestLoopAgainstReference:
+    @pytest.mark.parametrize("seed", range(0, 400, 3))
+    def test_random_networks(self, seed):
+        assert_matches_reference(random_network(seed))
+
+    @pytest.mark.parametrize("net", EDGE_NETWORKS)
+    def test_edge_networks(self, net):
+        assert_matches_reference(net)
+
+    def test_edges_cover_refusals_and_poles(self):
+        kinds = {type(outcome(closed_loop, n)) for n in EDGE_NETWORKS}
+        assert kinds == {tuple}
+        assert outcome(closed_loop, EDGE_NETWORKS[0])[0] is DegenerateNetworkError
+        got = outcome(frequency_sweep, EDGE_NETWORKS[-1], 1.0, 1.0, 1)
+        assert got[0] is PoleEvaluationError and "s=1j" in got[1]
+
+    @prop
+    @given(networks)
+    def test_drawn_networks(self, net):
+        assert_matches_reference(net)
+
+    @prop
+    @given(networks)
+    def test_quadrature_transfer_is_the_general_construction(self, net):
+        for p in (net.plant, net.controller):
+            got = quadrature_transfer(p)
+            assert got == ref_transfer(p)
+            for fn, ref in zip(got, ref_transfer(p)):
+                assert (fn.num, fn.den) == (ref.num, ref.den)
+                assert fn.den.leading() == GR(1)
+
+    def test_sweep_rows_are_python_floats(self, squeezing_net):
+        rows = frequency_sweep(squeezing_net, 1e-2, 1e1, 5)
+        assert all(type(v) is float for row in rows for v in row)
+        assert rows == ref_sweep(squeezing_net, 1e-2, 1e1, 5)
+
+
+# ---------------------------------------------------------------------------
+# matched-controller synthesis against an existence predicate written here
+
+
+def synthesis_exists(plant, alpha, sign):
+    """Whether a controller sharing the plant's couplings puts the closed
+    loop's zero at the origin.  With G = (s + n)/(s + d) and K(0) =
+    (y - c)/(y + c): K(0) takes every real value but 1 as y runs over the
+    reals (c != 0); a pole or zero of G at the origin can only be cancelled
+    by K's zero or pole there, which leaves a loop gain of -1; for c = 0
+    the loop gain is identically 1."""
+    c = plant.half_coupling
+    iw = plant.i_omega if sign == "-" else -plant.i_omega
+    n, d = iw - c, iw + c
+    if c == 0:
+        return alpha == -1
+    if d == 0:
+        return alpha == 1
+    if n == 0:
+        return alpha in (0, 1)
+    return -alpha * d / n != 1
+
+
+def zeroes_origin(plant, w_prime, alpha, sign):
+    """alpha + (G_j K_j)(0) = 0 on the reference loop gain."""
+    idx = 0 if sign == "-" else 1
+    ctrl = QuadPlantParams.create(w_prime, plant.c_q, plant.c_p)
+    gk = ref_transfer(plant)[idx] * ref_transfer(ctrl)[idx]
+    den0 = gk.den(GR(0))
+    return not den0.is_zero() and (GR(alpha) + gk.num(GR(0)) / den0).is_zero()
+
+
+def closed_form(plant, alpha, sign):
+    """The published generic-case pump, or None where its denominator
+    vanishes."""
+    a, c2, iw = GR(alpha), plant.c_product, plant.omega_plus * GR(0, 1)
+    s = GR(-1) if sign == "-" else GR(1)
+    num = (1 + a) * c2 + s * 2 * (1 - a) * iw
+    den = (1 - a) * c2 + s * 2 * (1 + a) * iw
+    return None if den.is_zero() else s * GR(0, Fraction(1, 2)) * c2 * num / den
+
+
+def check_synthesis(plant, alpha, sign):
+    got = outcome(synthesize_matched_controller, plant, alpha, sign)
+    c = plant.half_coupling
+    candidates = [GR(0, y) for y in (c, -c, 0, 1, -2)]
+    generic = closed_form(plant, alpha, sign)
+    if generic is not None:
+        candidates.append(generic)
+    if synthesis_exists(plant, alpha, sign):
+        assert isinstance(got, GR) and got.is_imaginary()
+        assert zeroes_origin(plant, got, alpha, sign)
+        iw = plant.i_omega if sign == "-" else -plant.i_omega
+        if c != 0 and iw - c != 0 and iw + c != 0:
+            assert got == generic  # the generic solution is unique
+    else:
+        assert got[0] is SynthesisError
+        assert not any(zeroes_origin(plant, w, alpha, sign) for w in candidates)
+
+
+class TestSynthesisExistence:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_networks(self, seed):
+        net = random_network(seed)
+        for sign in "-+":
+            for alpha in (net.bs.alpha, -1, 0, 1):
+                check_synthesis(net.plant, alpha, sign)
+
+    @prop
+    @given(fractions, fractions, st.sampled_from([-1, Fraction(-1, 2), 0, 1]))
+    def test_drawn_plants(self, w, c2, alpha):
+        plant = QuadPlantParams.from_coupling_product(GR(0, w), c2)
+        for sign in "-+":
+            check_synthesis(plant, alpha, sign)
+
+    def test_origin_cases(self):
+        # G_q = (s - 2)/s: only alpha = 1, by K_q = s/(s + 2)
+        pole = QuadPlantParams.from_coupling_product(GR(0, 1), 2)
+        assert synthesize_matched_controller(pole, 1, "-") == GR(0, -1)
+        for alpha in (0, Fraction(1, 2), -1):
+            with pytest.raises(SynthesisError, match="pole at the origin"):
+                synthesize_matched_controller(pole, alpha, "-")
+        # G_q = s/(s + 2): alpha = 0 by K_q = s/(s + 2), alpha = 1 by (s - 2)/s
+        zero = QuadPlantParams.from_coupling_product(GR(0, -1), 2)
+        assert synthesize_matched_controller(zero, 0, "-") == GR(0, -1)
+        assert synthesize_matched_controller(zero, 1, "-") == GR(0, 1)
+        with pytest.raises(SynthesisError, match="zero at the origin"):
+            synthesize_matched_controller(zero, Fraction(1, 2), "-")
+        # c = 0: the loop gain is 1 for every controller
+        flat = QuadPlantParams.from_coupling_product(GR(0, 2), 0)
+        assert synthesize_matched_controller(flat, -1, "+") == GR(0)
+        with pytest.raises(SynthesisError, match="identically 1"):
+            synthesize_matched_controller(flat, 0, "+")
+
+    def test_unphysical_alpha_still_rejected(self, plant):
+        with pytest.raises(ParameterError):
+            synthesize_matched_controller(plant, 2, "-")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,59 @@ class TestBuildStateSpace:
 
     def test_float_params_are_floating(self, cavity):
         assert not cavity.is_exact
+
+
+class TestExactInputCheckedExactly:
+    ZERO = [[0, 0], [0, 0]]
+
+    def test_omega_minus_off_by_1e15_rejected(self):
+        with pytest.raises(ParameterError, match="Hermitian"):
+            QSystemParams.create(
+                [[1, Fraction(1, 10**15)], [0, 1]], self.ZERO, [[1, 0]], [[0, 0]]
+            )
+
+    def test_omega_plus_off_by_1e15_rejected(self):
+        with pytest.raises(ParameterError, match="symmetric"):
+            QSystemParams.create(
+                self.ZERO, [[1, Fraction(1, 10**15)], [0, 1]], [[1, 0]], [[0, 0]]
+            )
+
+    def test_exact_hermitian_and_symmetric_accepted(self):
+        params = QSystemParams.create(
+            [[1, GaussianRational(1, 2)], [GaussianRational(1, -2), 3]],
+            [[GaussianRational(0, 1), "2/3"], [Fraction(2, 3), 0]],
+            [[1, 0]],
+            [[0, "1/2"]],
+        )
+        assert params.is_exact
+        assert check_physical_realizability(build_state_space(params), 0).passed
+
+    def test_float_input_keeps_its_tolerance(self):
+        params = QSystemParams.create(
+            [[1.0, 1e-15], [0.0, 1.0]], self.ZERO, [[1, 0]], [[0, 0]]
+        )
+        assert not params.is_exact
+
+    def test_exact_not_doubled_up_rejected(self):
+        eye = [[1, 0], [0, 1]]
+        a = [[1, 0], [0, 1 + Fraction(1, 10**12)]]
+        ss = StateSpace.from_matrices(a, eye, eye, eye)
+        assert ss.is_exact
+        with pytest.raises(NumericalError, match="A is not doubled-up"):
+            to_quadrature(ss)
+        # the float copy is doubled up within the float tolerance
+        near = StateSpace.from_matrices([[1.0, 0.0], [0.0, 1.0 + 1e-12]], eye, eye, eye)
+        assert not to_quadrature(near).is_exact
+
+    def test_exact_doubled_up_converts_exactly(self):
+        u, v = GaussianRational(1, 2), GaussianRational(Fraction(1, 3), -1)
+        a = [[u, v], [v.conjugate(), u.conjugate()]]
+        eye = [[1, 0], [0, 1]]
+        q = to_quadrature(StateSpace.from_matrices(a, eye, eye, eye))
+        assert q.exact["A"] == [
+            [u.re + v.re, -(u.im - v.im)],
+            [u.im + v.im, u.re - v.re],
+        ]
 
 
 class TestRealizability:
