@@ -3,7 +3,7 @@
 Reads system-spec JSON files, dispatches the analyses, and prints a
 deterministic report in either human-readable text or machine JSON form.
 Exit codes are documented in --help and distinguish the failure classes
-so scripts can branch on them.
+so scripts can branch on them; each error class carries its own.
 """
 
 from __future__ import annotations
@@ -23,12 +23,8 @@ from .errors import (
     LqsysError,
     NumericalError,
     ParameterError,
-    PoleEvaluationError,
     RealizabilityError,
     SpecFileError,
-    SubspaceToleranceError,
-    SynthesisError,
-    UnsolvableError,
 )
 from .invertibility import classify_left_invertibility, inversion_witness
 from .kalman import check_imaginary_hidden_modes, invariant_zeros_via_kalman, kalman_decompose
@@ -45,12 +41,12 @@ from .zeros import (
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_USAGE = 2
-EXIT_SPEC = 3
-EXIT_EXACTNESS = 4
-EXIT_REFUSED = 5
-EXIT_NUMERICAL = 6
-EXIT_DEGENERATE = 7
+EXIT_USAGE = ParameterError.exit_code
+EXIT_SPEC = SpecFileError.exit_code
+EXIT_EXACTNESS = ExactnessError.exit_code
+EXIT_REFUSED = HiddenModeConditionError.exit_code
+EXIT_NUMERICAL = NumericalError.exit_code
+EXIT_DEGENERATE = DegenerateNetworkError.exit_code
 
 EXIT_TABLE = f"""\
 exit codes:
@@ -134,56 +130,55 @@ def _echo(raw):
     return json.dumps(raw, sort_keys=True, separators=(",", ":"))
 
 
-def _base_report(command, loaded, tol):
-    return {
-        "command": command,
-        "spec": _echo(loaded.raw),
-        "spec_path": str(loaded.path),
-        "exact_input": loaded.exact,
-        "tol": tol,
-        "warnings": [],
-    }
+def _spec_command(body):
+    """A single-spec command: load the spec, open the shared report fields,
+    let ``body(ss, args, report)`` fill in the rest and return the exit
+    code, then emit the report."""
+
+    def run(args):
+        ss, raw = load_system_spec(args.spec)
+        report = {
+            "command": args.command,
+            "spec": _echo(raw),
+            "spec_path": str(args.spec),
+            "exact_input": ss.is_exact,
+            "tol": args.tol,
+            "warnings": [],
+        }
+        code = body(ss, args, report)
+        emit(report, args.format)
+        return code
+
+    return run
 
 
-def cmd_check(args):
-    loaded = load_system_spec(args.spec)
-    ss = loaded.state_space()
+@_spec_command
+def cmd_check(ss, args, report):
     rep = check_physical_realizability(ss, args.tol)
-    report = _base_report("check", loaded, args.tol)
     report["result"] = rep.to_dict()
-    emit(report, args.format)
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
-def _zero_method(ss, method, kind, tol):
-    if kind == "invariant":
-        if method == "pencil":
-            return invariant_zeros_pencil(ss, tol)
-        if method == "flat":
-            return invariant_zeros_flat(ss, tol)
-        if method == "theorem":
-            return invariant_zeros_via_kalman(ss, tol)
-    else:
-        if method == "pencil":
-            return transmission_zeros(ss, tol)
-        if method == "smf":
-            return transmission_zeros(transfer_matrix_exact(ss), tol)
-    raise ParameterError(f"method {method!r} does not apply to {kind} zeros")
+# kind -> method -> zero computation; --method all runs them in this order
+_ZERO_METHODS = {
+    "invariant": {
+        "pencil": invariant_zeros_pencil,
+        "flat": invariant_zeros_flat,
+        "theorem": invariant_zeros_via_kalman,
+    },
+    "transmission": {
+        "pencil": transmission_zeros,
+        "smf": lambda ss, tol: transmission_zeros(transfer_matrix_exact(ss), tol),
+    },
+}
 
 
-def cmd_zeros(args):
-    loaded = load_system_spec(args.spec)
-    ss = loaded.state_space()
-    report = _base_report("zeros", loaded, args.tol)
+@_spec_command
+def cmd_zeros(ss, args, report):
     report["kind"] = args.kind
-    methods = (
-        [args.method]
-        if args.method != "all"
-        else (["pencil", "flat", "theorem"] if args.kind == "invariant" else ["pencil", "smf"])
-    )
-    results = {}
+    table = _ZERO_METHODS[args.kind]
     spectra = {}
-    for method in methods:
+    for method in (table if args.method == "all" else [args.method]):
         if method == "smf" and not ss.is_exact:
             if args.method == "all":
                 report["warnings"].append(
@@ -191,51 +186,45 @@ def cmd_zeros(args):
                 )
                 continue
             raise ExactnessError("smf method needs exact input entries")
+        if method not in table:
+            raise ParameterError(f"method {method!r} does not apply to {args.kind} zeros")
         try:
-            rep = _zero_method(ss, method, args.kind, args.tol)
+            spectra[method] = table[method](ss, args.tol)
         except (HiddenModeConditionError, RealizabilityError) as e:
             if args.method == "all":
                 report["warnings"].append(f"{method} method refused: {e}")
                 continue
             raise
-        spectra[method] = rep
-        results[method] = rep.to_dict()
-    report["results"] = results
-    if len(spectra) > 1:
-        names = sorted(spectra)
-        disc = 0.0
-        agree = True
-        base = spectra[names[0]]
-        for other_name in names[1:]:
-            pairs = multiset_match(
-                base.expand(), spectra[other_name].expand(), max(args.tol * 100, 1e-7)
-            )
-            if pairs is None:
-                agree = False
-            else:
-                disc = max([disc] + [abs(a - b) for a, b in pairs])
-        report["cross_check"] = {"agree": agree, "max_discrepancy": disc}
-        emit(report, args.format)
-        return EXIT_OK if agree else EXIT_CHECK_FAILED
-    emit(report, args.format)
-    return EXIT_OK
+    report["results"] = {method: rep.to_dict() for method, rep in spectra.items()}
+    if len(spectra) < 2:
+        return EXIT_OK
+    names = sorted(spectra)
+    disc = 0.0
+    agree = True
+    base = spectra[names[0]]
+    for other_name in names[1:]:
+        pairs = multiset_match(
+            base.expand(), spectra[other_name].expand(), max(args.tol * 100, 1e-7)
+        )
+        if pairs is None:
+            agree = False
+        else:
+            disc = max([disc] + [abs(a - b) for a, b in pairs])
+    report["cross_check"] = {"agree": agree, "max_discrepancy": disc}
+    return EXIT_OK if agree else EXIT_CHECK_FAILED
 
 
-def cmd_poles(args):
-    loaded = load_system_spec(args.spec)
-    ss = loaded.state_space()
-    report = _base_report("poles", loaded, args.tol)
+@_spec_command
+def cmd_poles(ss, args, report):
     if args.exact and not ss.is_exact:
         raise ExactnessError("--exact requires exact input entries")
     pole_rep = poles(transfer_matrix_exact(ss) if args.exact else ss, args.tol)
     report["result"] = pole_rep.to_dict()
-    emit(report, args.format)
     return EXIT_OK
 
 
-def cmd_smf(args):
-    loaded = load_system_spec(args.spec)
-    ss = loaded.state_space()
+@_spec_command
+def cmd_smf(ss, args, report):
     if not ss.is_exact:
         raise ExactnessError(
             "Smith-McMillan form needs exact input entries (use '3/4'-style "
@@ -244,37 +233,29 @@ def cmd_smf(args):
     g = transfer_matrix_exact(ss)
     smf = smith_mcmillan(g)
     zeros_rep, poles_rep = zeros_poles_from_smf(smf, args.tol)
-    report = _base_report("smf", loaded, args.tol)
     report["transfer_matrix"] = [[str(e) for e in row] for row in g.entries]
     report["result"] = smf.to_dict()
     report["transmission_zeros"] = zeros_rep.to_dict()
     report["poles"] = poles_rep.to_dict()
-    emit(report, args.format)
     return EXIT_OK
 
 
-def cmd_kalman(args):
-    loaded = load_system_spec(args.spec)
-    ss = loaded.state_space()
+@_spec_command
+def cmd_kalman(ss, args, report):
     kal = kalman_decompose(ss, args.tol)
     hm = check_imaginary_hidden_modes(kal, args.tol, args.real_part_tol)
-    report = _base_report("kalman", loaded, args.tol)
     report["result"] = kal.to_dict()
     report["hidden_modes"] = hm.to_dict()
-    emit(report, args.format)
     return EXIT_OK
 
 
-def cmd_invert(args):
-    loaded = load_system_spec(args.spec)
-    ss = loaded.state_space()
+@_spec_command
+def cmd_invert(ss, args, report):
     rep = classify_left_invertibility(ss, args.tol)
     samples = [0.3 + 0.7j, 1.1 - 0.4j, 2.2 + 0.1j]
     witness = inversion_witness(ss, samples, max(args.tol, 1e-8))
-    report = _base_report("invert", loaded, args.tol)
     report["result"] = rep.to_dict()
     report["inversion_witness"] = witness.to_dict()
-    emit(report, args.format)
     return EXIT_OK
 
 
@@ -461,32 +442,14 @@ def build_parser():
     return parser
 
 
-_ERROR_EXITS = (
-    (SpecFileError, EXIT_SPEC),
-    (ExactnessError, EXIT_EXACTNESS),
-    (HiddenModeConditionError, EXIT_REFUSED),
-    (RealizabilityError, EXIT_REFUSED),
-    ((PoleEvaluationError, SubspaceToleranceError, NumericalError), EXIT_NUMERICAL),
-    (
-        (DegenerateNetworkError, UnsolvableError, SynthesisError),
-        EXIT_DEGENERATE,
-    ),
-    (ParameterError, EXIT_USAGE),
-)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except LqsysError as e:
-        for klass, code in _ERROR_EXITS:
-            if isinstance(e, klass):
-                print(f"error: {e}", file=sys.stderr)
-                return code
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return e.exit_code
 
 
 if __name__ == "__main__":

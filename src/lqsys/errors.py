@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all lqsys modules."""
+"""Exception hierarchy shared by all lqsys modules; ``exit_code`` is the
+status the ``lqsys`` command exits with on each error."""
 
 
 def _fmt_complex(z):
@@ -12,6 +13,8 @@ def _fmt_complex(z):
 class LqsysError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2
+
 
 class DimensionError(LqsysError):
     """Matrix dimensions are incompatible with the requested operation."""
@@ -24,14 +27,20 @@ class ParameterError(LqsysError):
 class ExactnessError(LqsysError):
     """Exact arithmetic was requested but the input is not exact."""
 
+    exit_code = 4
+
 
 class RealizabilityError(LqsysError):
     """An identity that requires physical realizability was applied to a
     system whose realizability residual exceeds tolerance."""
 
+    exit_code = 5
+
 
 class PoleEvaluationError(LqsysError):
     """A transfer matrix was evaluated at (or too close to) a pole."""
+
+    exit_code = 6
 
     def __init__(self, s, pole):
         self.s = s
@@ -44,6 +53,8 @@ class PoleEvaluationError(LqsysError):
 
 class NumericalError(LqsysError):
     """A numerical procedure failed to converge or lost too much accuracy."""
+
+    exit_code = 6
 
 
 class SubspaceToleranceError(NumericalError):
@@ -61,6 +72,8 @@ class HiddenModeConditionError(LqsysError):
     uncontrollable-unobservable) is purely imaginary was requested for a
     system that violates that condition."""
 
+    exit_code = 5
+
     def __init__(self, offending):
         self.offending = list(offending)
         vals = ", ".join(_fmt_complex(z) for z in self.offending)
@@ -76,18 +89,26 @@ class HiddenModeConditionError(LqsysError):
 class DegenerateNetworkError(LqsysError):
     """The closed-loop denominator vanishes identically."""
 
+    exit_code = 7
+
 
 class SynthesisError(LqsysError):
     """Controller synthesis has a vanishing denominator or produces a
     parameter outside the admissible regime."""
 
+    exit_code = 7
+
 
 class UnsolvableError(LqsysError):
     """The mixing-angle equation for ideal squeezing has no solution."""
 
+    exit_code = 7
+
 
 class SpecFileError(LqsysError):
     """A system-spec file failed to parse or validate."""
+
+    exit_code = 3
 
     def __init__(self, message, field=None):
         self.field = field

@@ -186,8 +186,8 @@ def quadrature_transfer(p: QuadPlantParams):
 
 
 def check_quadrature_duality(g_q: RationalFn, g_p: RationalFn) -> bool:
-    """Exact check of G_q(s) * G_p(-s) = 1."""
-    return (g_q * g_p.compose_neg()).is_one()
+    """Exact check of G_q(s) * G_p(-s) = 1, cross-multiplied: no gcd."""
+    return g_q.num * g_p.num.compose_neg() == g_q.den * g_p.den.compose_neg()
 
 
 def _loop(net: FeedbackNetwork, closed: bool, sens: bool):

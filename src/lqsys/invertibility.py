@@ -64,9 +64,7 @@ class InvertibilityReport:
         }
 
 
-def classify_left_invertibility(
-    ss: StateSpace, tol=1e-8, realizability_tol=1e-8
-) -> InvertibilityReport:
+def classify_left_invertibility(ss: StateSpace, tol=1e-8) -> InvertibilityReport:
     """Classify asymptotic strong left invertibility by the observable
     eigenvalue half-plane test.
 
@@ -75,9 +73,7 @@ def classify_left_invertibility(
     system with hidden modes at -1 and +1 can pass the eigenvalue test
     yet admit an exponentially growing input with zero output).
     """
-    require_physical_realizability(
-        ss, realizability_tol, "left-invertibility classification"
-    )
+    require_physical_realizability(ss, "left-invertibility classification")
     kal = kalman_decompose(ss, min(tol, 1e-9))
     hm = check_imaginary_hidden_modes(kal, min(tol, 1e-9), real_part_tol=tol)
     if not hm.holds:

@@ -271,9 +271,7 @@ def check_imaginary_hidden_modes(
     )
 
 
-def invariant_zeros_via_kalman(
-    ss: StateSpace, tol=1e-9, real_part_tol=1e-8, realizability_tol=1e-8
-):
+def invariant_zeros_via_kalman(ss: StateSpace, tol=1e-9):
     """Invariant zeros as {-conj(observable eigenvalues)} united with the
     unobservable eigenvalues.
 
@@ -284,11 +282,9 @@ def invariant_zeros_via_kalman(
     system can satisfy the hidden-mode condition vacuously while its
     invariant zeros have nothing to do with mirrored eigenvalues).
     """
-    require_physical_realizability(
-        ss, realizability_tol, "the observable/unobservable zero formula"
-    )
+    require_physical_realizability(ss, "the observable/unobservable zero formula")
     kal = kalman_decompose(ss, tol)
-    hm = check_imaginary_hidden_modes(kal, tol, real_part_tol)
+    hm = check_imaginary_hidden_modes(kal, tol)
     if not hm.holds:
         raise HiddenModeConditionError(hm.offending)
     vals = [-v.conjugate() for v in kal.eig_observable.expand()]

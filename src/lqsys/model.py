@@ -348,15 +348,15 @@ def check_physical_realizability(ss: StateSpace, tol=1e-10) -> RealizabilityRepo
     )
 
 
-def require_physical_realizability(ss: StateSpace, tol, purpose):
+def require_physical_realizability(ss: StateSpace, purpose):
     """Refuse, with RealizabilityError, a system whose realizability
-    residuals exceed ``tol``; ``purpose`` names the computation that needs
+    residuals exceed 1e-8; ``purpose`` names the computation that needs
     the identities and opens the message."""
-    rb = check_physical_realizability(ss, tol)
+    rb = check_physical_realizability(ss, 1e-8)
     if not rb.passed:
         raise RealizabilityError(
             f"{purpose} needs a physically realizable system; residuals "
-            f"{rb.residuals} exceed {tol}"
+            f"{rb.residuals} exceed {rb.tol}"
         )
 
 
@@ -405,10 +405,10 @@ def _quadrature_blocks(x):
     return np.block([[re(plus), -im(minus)], [im(plus), re(minus)]])
 
 
-def frequency_response(ss: StateSpace, s, pole_tol=1e-9):
+def frequency_response(ss: StateSpace, s):
     """D + C (sI - A)^-1 B via a linear solve (no explicit inverse).
 
-    Raises PoleEvaluationError when s is within ``pole_tol`` of an
+    Raises PoleEvaluationError when s is within 1e-9 (relative) of an
     eigenvalue of A; the eigenvalues come from ``ss.eigenvalues()``, so a
     sweep over many points computes them once.
     """
@@ -417,7 +417,7 @@ def frequency_response(ss: StateSpace, s, pole_tol=1e-9):
         eigs = ss.eigenvalues()
         dist = np.abs(eigs - s)
         k = int(np.argmin(dist))
-        if dist[k] <= pole_tol * max(1.0, abs(eigs[k])):
+        if dist[k] <= 1e-9 * max(1.0, abs(eigs[k])):
             raise PoleEvaluationError(s, complex(eigs[k]))
         x = np.linalg.solve(
             s * np.eye(ss.A.shape[0]) - ss.A, ss.B.astype(complex)

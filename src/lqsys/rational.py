@@ -800,9 +800,6 @@ class RationalFn:
     def __rtruediv__(self, other):
         return RationalFn.of(other) / self
 
-    def reciprocal(self):
-        return RationalFn(self.den, self.num)
-
     def compose_neg(self):
         """f(-s)."""
         return RationalFn(self.num.compose_neg(), self.den.compose_neg())

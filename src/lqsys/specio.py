@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import SpecFileError
 from .feedback import QuadPlantParams
-from .model import QSystemParams, StateSpace
+from .model import QSystemParams, StateSpace, build_state_space
 from .rational import GaussianRational
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "parse_matrix",
     "load_system_spec",
     "load_feedback_spec",
-    "LoadedSystem",
 ]
 
 
@@ -40,64 +39,37 @@ def _parse_component(x, where):
     """One real component: JSON number (float path) or 'p/q' string (exact)."""
     if isinstance(x, bool):
         raise SpecFileError("booleans are not numbers", field=where)
-    if isinstance(x, int):
-        return Fraction(x), True
     if isinstance(x, float):
-        return x, False
-    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, str)):
         try:
-            return Fraction(x), True
+            return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
             raise SpecFileError(f"bad exact component {x!r}: {e}", field=where) from e
     raise SpecFileError(f"component must be number or 'p/q' string, got {x!r}", field=where)
 
 
 def parse_entry(e, where):
-    """One matrix entry [re, im] -> (GaussianRational or complex, exact)."""
+    """One matrix entry [re, im] -> GaussianRational if both components are
+    exact, else complex."""
     if not isinstance(e, (list, tuple)) or len(e) != 2:
         raise SpecFileError(
             f"matrix entry must be a [re, im] pair, got {e!r}", field=where
         )
-    re, re_exact = _parse_component(e[0], where)
-    im, im_exact = _parse_component(e[1], where)
-    if re_exact and im_exact:
-        return GaussianRational(re, im), True
-    return complex(float(re), float(im)), False
+    re = _parse_component(e[0], where)
+    im = _parse_component(e[1], where)
+    if isinstance(re, Fraction) and isinstance(im, Fraction):
+        return GaussianRational(re, im)
+    return complex(float(re), float(im))
 
 
 def parse_matrix(rows, field):
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise SpecFileError("matrix must be a list of rows", field=field)
-    out = []
-    exact = True
-    for i, row in enumerate(rows):
-        prow = []
-        for j, e in enumerate(row):
-            val, ex = parse_entry(e, f"{field}[{i}][{j}]")
-            exact = exact and ex
-            prow.append(val)
-        out.append(prow)
-    if not exact:
-        out = [[complex(v) for v in row] for row in out]
-    return out, exact
-
-
-class LoadedSystem:
-    """A parsed spec: the constructed object plus the raw JSON for echoing."""
-
-    def __init__(self, kind, system, raw, exact, path):
-        self.kind = kind  # "params" | "state-space"
-        self.system = system
-        self.raw = raw
-        self.exact = exact
-        self.path = path
-
-    def state_space(self) -> StateSpace:
-        from .model import build_state_space
-
-        if self.kind == "params":
-            return build_state_space(self.system)
-        return self.system
+    return [
+        [parse_entry(e, f"{field}[{i}][{j}]") for j, e in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
 
 
 def _load_json(path):
@@ -110,28 +82,21 @@ def _load_json(path):
         raise SpecFileError(f"invalid JSON in {path}: line {e.lineno}: {e.msg}") from e
 
 
-def load_system_spec(path) -> LoadedSystem:
+def load_system_spec(path):
+    """(StateSpace, raw JSON) of a system spec; the state space is exact
+    only if every entry is."""
     raw = _load_json(path)
     if not isinstance(raw, dict):
         raise SpecFileError("spec must be a JSON object")
     rep = raw.get("representation")
     if rep == "params":
-        missing = [
-            k
-            for k in ("n", "m", "omega_minus", "omega_plus", "c_minus", "c_plus")
-            if k not in raw
-        ]
+        keys = ("omega_minus", "omega_plus", "c_minus", "c_plus")
+        missing = [k for k in ("n", "m") + keys if k not in raw]
         if missing:
             raise SpecFileError(f"missing fields: {', '.join(missing)}")
-        mats = {}
-        exact = True
-        for k in ("omega_minus", "omega_plus", "c_minus", "c_plus"):
-            mats[k], ex = parse_matrix(raw[k], k)
-            exact = exact and ex
+        mats = [parse_matrix(raw[k], k) for k in keys]
         try:
-            params = QSystemParams.create(
-                mats["omega_minus"], mats["omega_plus"], mats["c_minus"], mats["c_plus"]
-            )
+            params = QSystemParams.create(*mats)
         except Exception as e:
             raise SpecFileError(f"invalid parameters: {e}") from e
         if params.n != raw["n"] or params.m != raw["m"]:
@@ -139,23 +104,18 @@ def load_system_spec(path) -> LoadedSystem:
                 f"declared (n, m) = ({raw['n']}, {raw['m']}) but matrices give "
                 f"({params.n}, {params.m})"
             )
-        return LoadedSystem("params", params, raw, exact, path)
+        return build_state_space(params), raw
     if rep in ("annihilation", "quadrature"):
-        missing = [k for k in ("A", "B", "C", "D") if k not in raw]
+        keys = ("A", "B", "C", "D")
+        missing = [k for k in keys if k not in raw]
         if missing:
             raise SpecFileError(f"missing fields: {', '.join(missing)}")
-        mats = {}
-        exact = True
-        for k in ("A", "B", "C", "D"):
-            mats[k], ex = parse_matrix(raw[k], k)
-            exact = exact and ex
+        mats = [parse_matrix(raw[k], k) for k in keys]
         try:
-            ss = StateSpace.from_matrices(
-                mats["A"], mats["B"], mats["C"], mats["D"], representation=rep
-            )
+            ss = StateSpace.from_matrices(*mats, representation=rep)
         except Exception as e:
             raise SpecFileError(f"invalid state space: {e}") from e
-        return LoadedSystem("state-space", ss, raw, exact, path)
+        return ss, raw
     raise SpecFileError(
         f"representation must be 'params', 'annihilation' or 'quadrature', "
         f"got {rep!r}",
@@ -169,15 +129,13 @@ def load_feedback_spec(path):
         raise SpecFileError("feedback spec must be a JSON object")
     if "omega_plus" not in raw:
         raise SpecFileError("missing field omega_plus")
-    w, _ = parse_entry(raw["omega_plus"], "omega_plus")
-    w = GaussianRational.of(w)
+    w = GaussianRational.of(parse_entry(raw["omega_plus"], "omega_plus"))
     try:
         if "c_product" in raw:
-            cprod, _ = parse_entry(raw["c_product"], "c_product")
-            params = QuadPlantParams.from_coupling_product(w, GaussianRational.of(cprod))
+            cprod = GaussianRational.of(parse_entry(raw["c_product"], "c_product"))
+            params = QuadPlantParams.from_coupling_product(w, cprod)
         elif "c_q" in raw and "c_p" in raw:
-            cq, _ = parse_entry(raw["c_q"], "c_q")
-            cp, _ = parse_entry(raw["c_p"], "c_p")
+            cq, cp = (parse_entry(raw[k], k) for k in ("c_q", "c_p"))
             params = QuadPlantParams.create(
                 w, GaussianRational.of(cq), GaussianRational.of(cp)
             )

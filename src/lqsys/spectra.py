@@ -155,9 +155,6 @@ class SpectrumReport:
             values=vals, tol=self.tol, method=self.method + "+mirror", notes=self.notes
         )
 
-    def imaginary_members(self, real_tol=1e-8):
-        return [v for v, _ in self.values if abs(v.real) <= real_tol]
-
     def to_dict(self):
         return {
             "method": self.method,

@@ -85,11 +85,11 @@ class RosenbrockPencil:
         return self.p0.shape[0]
 
 
-def normalrank(ss: StateSpace, tol=1e-9, probes=(0.731 + 0.829j, 1.372 - 0.544j)):
-    """Normal rank of P(s): the maximum rank over probe points (for open
+def normalrank(ss: StateSpace, tol=1e-9):
+    """Normal rank of P(s): the maximum rank at two probe points (for open
     quantum systems this is always the full size, D being unitary)."""
-    pencil = RosenbrockPencil.from_state_space(ss)
-    return max(rank_at_tolerance(pencil.evaluate(s), tol) for s in probes)
+    p = RosenbrockPencil.from_state_space(ss)
+    return max(rank_at_tolerance(p.evaluate(s), tol) for s in (0.731 + 0.829j, 1.372 - 0.544j))
 
 
 def _schur_spectrum(ss: StateSpace):
@@ -162,19 +162,15 @@ def invariant_zeros_pencil(ss: StateSpace, tol=1e-9) -> SpectrumReport:
     )
 
 
-def invariant_zeros_flat(
-    ss: StateSpace, tol=1e-9, realizability_tol=1e-8
-) -> SpectrumReport:
+def invariant_zeros_flat(ss: StateSpace, tol=1e-9) -> SpectrumReport:
     """Invariant zeros as the eigenvalues of -A^b (annihilation) or -A^#
     (quadrature).
 
     The identity behind this shortcut needs the physical-realizability
     constraints, so the computation refuses systems whose realizability
-    residual exceeds ``realizability_tol``.
+    residual exceeds 1e-8.
     """
-    require_physical_realizability(
-        ss, realizability_tol, "flat-adjoint zero computation"
-    )
+    require_physical_realizability(ss, "flat-adjoint zero computation")
     return SpectrumReport.from_values(
         _adjoint_spectrum(ss), tol=tol, method="flat_adjoint"
     )

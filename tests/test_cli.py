@@ -1,8 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from lqsys import cli, errors
 from lqsys.cli import (
     EXIT_CHECK_FAILED,
     EXIT_EXACTNESS,
@@ -297,3 +299,58 @@ class TestHugeEntries:
         code, _, err = run(capsys, argv[0], spec, *argv[1:])
         assert code == EXIT_NUMERICAL
         assert "did not converge" in err
+
+
+def documented_exit_codes(capsys):
+    """{code: description} from the exit-code table of ``lqsys --help``."""
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    table = capsys.readouterr().out.split("exit codes:\n", 1)[1]
+    codes = {}
+    for line in table.splitlines():
+        m = re.match(r"\s+(\d)\s+(.*)", line)
+        if m:
+            code = int(m.group(1))
+            codes[code] = m.group(2)
+        else:
+            codes[code] += " " + line.strip()
+    return codes
+
+
+# every error class, with a phrase of the --help line that documents its code
+ERRORS_AND_DOCS = [
+    (errors.LqsysError("generic failure"), "usage error"),
+    (errors.DimensionError("A and D must be square"), "usage error"),
+    (errors.ParameterError("bad --sweep value"), "usage error"),
+    (errors.SpecFileError("bad entry", field="A[0][0]"), "spec file failed"),
+    (errors.ExactnessError("needs exact input"), "exact arithmetic requested"),
+    (errors.RealizabilityError("not realizable"), "classification refused"),
+    (errors.HiddenModeConditionError([1 + 0j]), "classification refused"),
+    (errors.PoleEvaluationError(1j, 1j), "numerical failure"),
+    (errors.NumericalError("SVD did not converge"), "numerical failure"),
+    (errors.SubspaceToleranceError("unstable rank", gap=1e-3), "numerical failure"),
+    (errors.DegenerateNetworkError("vanishes identically"), "degenerate network"),
+    (errors.SynthesisError("denominator vanishes"), "singular synthesis"),
+    (errors.UnsolvableError("no solution"), "unsolvable"),
+]
+
+
+def test_every_error_class_is_covered():
+    def subclasses(cls):
+        return {cls}.union(*(subclasses(c) for c in cls.__subclasses__()))
+
+    assert {type(e) for e, _ in ERRORS_AND_DOCS} == subclasses(errors.LqsysError)
+
+
+@pytest.mark.parametrize(
+    "error, doc", ERRORS_AND_DOCS, ids=[type(e).__name__ for e, _ in ERRORS_AND_DOCS]
+)
+def test_error_exit_code_is_documented(capsys, monkeypatch, error, doc):
+    (want,) = [c for c, text in documented_exit_codes(capsys).items() if doc in text]
+
+    def fail(*_):
+        raise error
+
+    monkeypatch.setattr(cli, "check_physical_realizability", fail)
+    code, out, err = run(capsys, "check", SPEC_DIR / "gain_system.json")
+    assert (code, out, err) == (want, "", f"error: {error}\n")

@@ -492,6 +492,47 @@ class TestLoopAgainstReference:
         assert rows == ref_sweep(squeezing_net, 1e-2, 1e1, 5)
 
 
+def duality_pairs(net):
+    """Plant, controller and closed-loop pairs, and two crossed pairs that
+    are dual only by accident."""
+    g, k = quadrature_transfer(net.plant), quadrature_transfer(net.controller)
+    pairs = [g, k, (g[0], k[1]), (k[0], g[1])]
+    try:
+        pairs.append(closed_loop(net))
+    except DegenerateNetworkError:
+        pass
+    return pairs
+
+
+class TestDualityAgainstReducedProduct:
+    """check_quadrature_duality cross-multiplies; the reference forms the
+    reduced product G_q(s) G_p(-s) and asks whether it is 1."""
+
+    @staticmethod
+    def assert_agrees(nets):
+        seen = set()
+        for net in nets:
+            for g_q, g_p in duality_pairs(net):
+                want = (g_q * g_p.compose_neg()).is_one()
+                assert check_quadrature_duality(g_q, g_p) is want
+                seen.add(want)
+        return seen
+
+    def test_random_networks(self):
+        assert self.assert_agrees(random_network(seed) for seed in range(3000)) == {
+            True, False,
+        }
+
+    def test_edge_alphas_and_zero_coupling(self):
+        nets = [
+            FeedbackNetwork(net.plant, net.controller, Beamsplitter.create(alpha))
+            for net in map(random_network, range(100))
+            for alpha in (-1, 0, 1)
+        ]
+        nets += EDGE_NETWORKS + [net_of(0, 0, 2, 1, a) for a in (-1, 0, 1)]
+        assert self.assert_agrees(nets) == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # matched-controller synthesis against an existence predicate written here
 
