@@ -1,11 +1,16 @@
-"""Dense exact matrices over Q(i): plain list-of-list helpers.
+"""Dense exact matrices over Q(i) as lists of lists of GaussianRational.
 
-Sizes here are tiny (a handful of modes), so simple algorithms are used
-throughout: Bareiss fraction-free elimination for determinants,
-Faddeev-LeVerrier for characteristic polynomials, Lagrange interpolation
-for pencil determinants.  Products and determinants scale each matrix to
-Gaussian integers over one common denominator and run on Python ints,
-normalizing each result entry once.
+What the exact paths need and no more: ingestion (``exact_matrix``, and
+``to_numpy`` for the rounded float copy); the integer kernels
+``mat_mul``, ``det_exact``, ``charpoly`` and ``pencil_det``, which scale
+each matrix to Gaussian integers over one common denominator, run on
+Python ints and normalize each result entry once (Bareiss elimination,
+Faddeev-LeVerrier, Lagrange interpolation; sizes are a handful of
+modes); and the shape helpers of the exact model build and det identity,
+of which the benchmark imports ``mat_block`` and ``mat_zeros`` with
+``charpoly`` and ``pencil_det``.  The flat and sharp adjoints have no
+exact twin (see ``model.build_state_space`` and
+``zeros.verify_det_identity``).
 """
 
 from __future__ import annotations
@@ -14,17 +19,13 @@ from math import lcm
 
 import numpy as np
 
-from .errors import DimensionError, ExactnessError
+from .errors import DimensionError, NumericalError
 from .rational import GR_ONE, GR_ZERO, GaussianRational, Poly, _gr
 
 __all__ = [
     "exact_matrix",
     "to_numpy",
     "shape",
-    "mat_add",
-    "mat_sub",
-    "mat_neg",
-    "mat_scale",
     "mat_mul",
     "mat_eye",
     "mat_zeros",
@@ -32,10 +33,6 @@ __all__ = [
     "hermitian_t",
     "transpose",
     "doubled_up_exact",
-    "signature_j_exact",
-    "flat_adjoint_exact",
-    "sharp_adjoint_exact",
-    "mat_trace",
     "det_exact",
     "charpoly",
     "pencil_det",
@@ -51,11 +48,16 @@ def exact_matrix(rows):
 
 
 def to_numpy(m):
+    """The rounded float copy of an exact matrix; an entry beyond the
+    float range raises NumericalError."""
     r, c = shape(m)
     out = np.zeros((r, c), dtype=complex)
-    for i in range(r):
-        for j in range(c):
-            out[i, j] = complex(m[i][j])
+    try:
+        for i in range(r):
+            for j in range(c):
+                out[i, j] = complex(m[i][j])
+    except OverflowError as e:
+        raise NumericalError(f"exact entry too large for a float copy: {e}") from e
     return out
 
 
@@ -69,25 +71,6 @@ def mat_zeros(r, c):
 
 def mat_eye(n):
     return [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_add(a, b):
-    if shape(a) != shape(b):
-        raise DimensionError(f"shape mismatch {shape(a)} vs {shape(b)}")
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return mat_add(a, mat_neg(b))
-
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
-
-
-def mat_scale(c, a):
-    c = GaussianRational.of(c)
-    return [[c * x for x in row] for row in a]
 
 
 def _scaled_ints(a):
@@ -150,56 +133,6 @@ def doubled_up_exact(u, v):
     ubar = [[x.conjugate() for x in row] for row in u]
     vbar = [[x.conjugate() for x in row] for row in v]
     return mat_block([[u, v], [vbar, ubar]])
-
-
-def signature_j_exact(k):
-    """diag(I_k, -I_k) as an exact matrix."""
-    n = 2 * k
-    out = mat_zeros(n, n)
-    for i in range(k):
-        out[i][i] = GR_ONE
-        out[k + i][k + i] = -GR_ONE
-    return out
-
-
-def _symp_j(k):
-    """[[0, I_k], [-I_k, 0]] as an exact matrix."""
-    n = 2 * k
-    out = mat_zeros(n, n)
-    for i in range(k):
-        out[i][k + i] = GR_ONE
-        out[k + i][i] = -GR_ONE
-    return out
-
-
-def flat_adjoint_exact(a):
-    r, c = shape(a)
-    if r % 2 or c % 2:
-        raise DimensionError("flat adjoint needs even dimensions")
-    return mat_mul(
-        mat_mul(signature_j_exact(c // 2), hermitian_t(a)), signature_j_exact(r // 2)
-    )
-
-
-def sharp_adjoint_exact(a):
-    r, c = shape(a)
-    if r % 2 or c % 2:
-        raise DimensionError("sharp adjoint needs even dimensions")
-    if any(not x.is_real() for row in a for x in row):
-        raise ExactnessError("sharp adjoint is defined for real matrices")
-    return mat_mul(
-        mat_mul(_symp_j(c // 2), transpose(a)), transpose(_symp_j(r // 2))
-    )
-
-
-def mat_trace(a):
-    r, c = shape(a)
-    if r != c:
-        raise DimensionError("trace needs a square matrix")
-    t = GR_ZERO
-    for i in range(r):
-        t = t + a[i][i]
-    return t
 
 
 def _bareiss(mx, my):
@@ -268,7 +201,7 @@ def charpoly(a):
     for k in range(1, n + 1):
         m_terms.append(m)
         am = mat_mul(a, m)
-        ck = -(mat_trace(am) / GaussianRational.of(k))
+        ck = -(sum((am[i][i] for i in range(n)), GR_ZERO) / k)
         coeffs[n - k] = ck
         if k < n:
             m = am

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, NumericalError, ParameterError
 
 __all__ = [
     "as_matrix",
@@ -29,6 +29,7 @@ __all__ = [
     "symplectic_j",
     "flat_adjoint",
     "sharp_adjoint",
+    "frozen_eigvals",
     "eigenvalues",
     "rank_at_tolerance",
     "null_space_basis",
@@ -134,6 +135,20 @@ def frobenius(x):
     return float(np.linalg.norm(x)) if x.size else 0.0
 
 
+def frozen_eigvals(mat):
+    """Eigenvalues of a square array as a read-only array, the form in
+    which spectra are memoized on a StateSpace.  This is the package's one
+    dense eigenvalue call: a matrix with non-finite entries (an overflow
+    upstream) or an iteration that fails to converge raises
+    NumericalError."""
+    try:
+        vals = np.linalg.eigvals(mat)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"eigenvalue computation failed: {e}") from e
+    vals.setflags(write=False)
+    return vals
+
+
 def eigenvalues(m, tol=1e-9, method="dense"):
     """Eigenvalues of a square matrix as a clustered SpectrumReport.
 
@@ -142,18 +157,12 @@ def eigenvalues(m, tol=1e-9, method="dense"):
     """
     from .spectra import SpectrumReport
 
-    from .errors import NumericalError
-
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"eigenvalues need a square matrix, got {m.shape}")
     if m.shape[0] == 0:
         return SpectrumReport.from_values([], tol=tol, method=method)
-    try:
-        vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"eigenvalue iteration failed to converge: {e}") from e
-    return SpectrumReport.from_values(vals, tol=tol, method=method)
+    return SpectrumReport.from_values(frozen_eigvals(m), tol=tol, method=method)
 
 
 def rank_at_tolerance(m, tol=1e-9):

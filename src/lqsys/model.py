@@ -19,8 +19,10 @@ GaussianRational), the construction is carried out exactly instead, and the
 floating quadruple is the rounded exact one.  ``to_quadrature``,
 ``with_lossless_modes`` and ``random_params`` write their formula once and
 apply it to complex arrays or to numpy object arrays of GaussianRational;
-``build_state_space`` keeps a float and an exact formula, because object
-arrays would slow the exact build, and runs only the one it returns.
+``build_state_space`` keeps two formulas and runs only the one it
+returns: the exact one works on the n x n blocks, and the float one keeps
+the full-size products above, because summing in the blockwise order
+changes the last bits of A and B on most random draws.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .linalg import (
     doubled_up,
     flat_adjoint,
     frobenius,
+    frozen_eigvals,
     is_doubled_up,
     sharp_adjoint,
     signature_j,
@@ -160,14 +163,6 @@ class QSystemParams:
         return self.exact is not None
 
 
-def frozen_eigvals(mat):
-    """Eigenvalues of a square array as a read-only array, the form in
-    which spectra are memoized on a StateSpace."""
-    vals = np.linalg.eigvals(mat)
-    vals.setflags(write=False)
-    return vals
-
-
 @dataclass(frozen=True)
 class StateSpace:
     """Quadruple (A, B, C, D) in either representation.
@@ -218,8 +213,14 @@ class StateSpace:
                 f"got {b.shape} and {c.shape}"
             )
         if representation == "quadrature":
-            for name, mat in (("A", a), ("B", b), ("C", c), ("D", d)):
-                if mat.size and np.max(np.abs(mat.imag)) > 1e-12:
+            for name, mat, mat_x in (
+                ("A", a, a_x), ("B", b, b_x), ("C", c, c_x), ("D", d, d_x)
+            ):
+                if mat_x is not None:
+                    real = all(x.is_real() for row in mat_x for x in row)
+                else:
+                    real = not mat.size or np.max(np.abs(mat.imag)) <= 1e-12
+                if not real:
                     raise ParameterError(
                         f"quadrature matrices must be real; {name} is not"
                     )
@@ -273,9 +274,11 @@ def build_state_space(params: QSystemParams) -> StateSpace:
     """Construct the annihilation-representation quadruple from physical
     parameters; realizability identities hold by construction.
 
-    Exact parameters are built on their exact blocks and converted with
-    ``xl.to_numpy``; float parameters are built in numpy.  Only the
-    branch that is returned is computed.
+    Float parameters are built in numpy by the formulas of the module
+    docstring, exact ones block by block: C^b = doubled_up(C_-^H, -C_+^T),
+    so B = doubled_up(-C_-^H, C_+^T), and the upper block row of A is
+    -i [Omega_-, Omega_+] - (1/2) [C_-^H, -C_+^T] C.  Only the branch that
+    is returned is computed.
     """
     n, m = params.n, params.m
     if not params.is_exact:
@@ -285,19 +288,25 @@ def build_state_space(params: QSystemParams) -> StateSpace:
         cflat = flat_adjoint(c)
         b = -cflat @ d
         a = -1j * signature_j(n) @ omega - 0.5 * cflat @ c
+        if not np.isfinite(a).all():
+            raise NumericalError("A overflows: the parameters are too large")
         return StateSpace(A=a, B=b, C=c, D=d, representation="annihilation")
     ex = params.exact
-    omega_x = xl.doubled_up_exact(ex["omega_minus"], ex["omega_plus"])
+    cm_h, cp_t = xl.hermitian_t(ex["c_minus"]), xl.transpose(ex["c_plus"])
     c_x = xl.doubled_up_exact(ex["c_minus"], ex["c_plus"])
-    d_x = xl.mat_eye(2 * m)
-    cflat_x = xl.flat_adjoint_exact(c_x)
-    b_x = xl.mat_neg(xl.mat_mul(cflat_x, d_x))
-    jn = xl.signature_j_exact(n)
-    a_x = xl.mat_sub(
-        xl.mat_scale(GaussianRational(0, -1), xl.mat_mul(jn, omega_x)),
-        xl.mat_scale(Fraction(1, 2), xl.mat_mul(cflat_x, c_x)),
-    )
-    exact = {"A": a_x, "B": b_x, "C": c_x, "D": d_x}
+    flat_c = xl.mat_mul([h + [-x for x in t] for h, t in zip(cm_h, cp_t)], c_x)
+    omega = (w1 + w2 for w1, w2 in zip(ex["omega_minus"], ex["omega_plus"]))
+    minus_i, half = GaussianRational(0, -1), GaussianRational(Fraction(1, 2))
+    a_up = [
+        [minus_i * w - half * f for w, f in zip(rw, rf)]
+        for rw, rf in zip(omega, flat_c)
+    ]
+    exact = {
+        "A": xl.doubled_up_exact([r[:n] for r in a_up], [r[n:] for r in a_up]),
+        "B": xl.doubled_up_exact([[-x for x in r] for r in cm_h], cp_t),
+        "C": c_x,
+        "D": xl.mat_eye(2 * m),
+    }
     return StateSpace(
         **{k: xl.to_numpy(v) for k, v in exact.items()},
         representation="annihilation", exact=exact,
@@ -434,8 +443,7 @@ def dual_adjoint(x, representation):
     if x.shape[0] != x.shape[1] or x.shape[0] % 2:
         raise DimensionError("dual adjoint needs an even square matrix")
     if representation == "annihilation":
-        j = signature_j(k)
-        return j @ x.conj().T @ j
+        return flat_adjoint(x)
     jj = symplectic_j(k)
     return jj @ x.conj().T @ jj.T
 

@@ -18,6 +18,11 @@ computed once per StateSpace and memoized on it; clustering at ``tol``
 and the realizability check run on every call.  The numeric det identity
 is built from the same two spectra, because det P(s) = (-1)^ns det D
 det(sI - (A - B D^-1 C)).
+
+The exact det identity forms no adjoint.  A^b = J A^H J and A^# =
+JJ A^T JJ^T are similarities, because J^2 = I and JJ is orthogonal, so
+det(sI + A^b) = det(sI + A^H), which is charpoly(-A) with conjugated
+coefficients, and det(sI + A^#) = det(sI + A^T) = charpoly(-A).
 """
 
 from __future__ import annotations
@@ -29,14 +34,9 @@ import numpy as np
 from . import exactlinalg as xl
 from .errors import NumericalError, ParameterError
 from .kalman import minimal_realization
-from .linalg import flat_adjoint, rank_at_tolerance, sharp_adjoint
-from .model import (
-    StateSpace,
-    frequency_response,
-    frozen_eigvals,
-    require_physical_realizability,
-)
-from .rational import GR_ONE
+from .linalg import flat_adjoint, frozen_eigvals, rank_at_tolerance, sharp_adjoint
+from .model import StateSpace, frequency_response, require_physical_realizability
+from .rational import GR_ONE, Poly
 from .smith import RationalMatrix, smith_mcmillan, zeros_poles_from_smf
 from .spectra import SpectrumReport, format_complex, multiset_match
 
@@ -347,9 +347,10 @@ def verify_det_identity(ss: StateSpace, tol=1e-9) -> DetIdentityReport:
     constant det D, coefficientwise.
 
     Exact systems are checked exactly: the pencil determinant is obtained
-    by evaluation/interpolation and the right side is the characteristic
-    polynomial of -A^b; both are normalized monic and the dropped unit
-    factor is reported.
+    by evaluation/interpolation and the right side is charpoly(-A), with
+    conjugated coefficients in the annihilation picture (see the module
+    docstring for why no adjoint is formed); both are normalized monic and
+    the dropped unit factor is reported.
 
     Floating systems are checked from the two memoized spectra, with no
     determinant sampled: with invertible D, det P(s) = (-1)^ns det D
@@ -369,11 +370,9 @@ def verify_det_identity(ss: StateSpace, tol=1e-9) -> DetIdentityReport:
         for i in range(ns):
             e[i][i] = GR_ONE
         left = xl.pencil_det(p0, e)
+        right, _ = xl.charpoly([[-x for x in row] for row in a])
         if ss.representation == "annihilation":
-            adj = xl.flat_adjoint_exact(a)
-        else:
-            adj = xl.sharp_adjoint_exact(a)
-        right, _ = xl.charpoly(xl.mat_neg(adj))
+            right = Poly([cc.conjugate() for cc in right.coeffs])
         unit = complex(left.leading()) if not left.is_zero() else 0.0
         ok = left.monic() == right and not left.is_zero()
         return DetIdentityReport(

@@ -301,6 +301,62 @@ class TestHugeEntries:
         assert "did not converge" in err
 
 
+class TestNonFiniteIntermediates:
+    """Finite specs whose intermediates overflow end in a numerical error
+    (exit 6) with an ``error:`` line, not a traceback."""
+
+    # -i Omega - (1/2) C^b C overflows in the float build of A
+    PARAMS = (
+        '{"representation": "params", "n": 1, "m": 1,'
+        '"omega_minus": [[[1e308, 0]]], "omega_plus": [[[1e308, 0]]],'
+        '"c_minus": [[[1e200, 0]]], "c_plus": [[[0, 0]]]}'
+    )
+    # A - B D^-1 C overflows before its eigenvalues are taken
+    SCHUR = (
+        '{"representation": "annihilation",'
+        '"A": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],'
+        '"B": [[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]],'
+        '"C": [[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]],'
+        '"D": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'
+    )
+    # exact, but C^b C is beyond the float range of its rounded copy
+    EXACT = (
+        '{"representation": "params", "n": 1, "m": 1,'
+        '"omega_minus": [[[0, 0]]], "omega_plus": [[[0, 0]]],'
+        f'"c_minus": [[[{10**200}, 0]]], "c_plus": [[[0, 0]]]}}'
+    )
+    COMMANDS = [("check",), ("zeros", "--method", "all"), ("poles",), ("smf",),
+                ("kalman",), ("invert",)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("spec", ["PARAMS", "EXACT"])
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_overflowing_build(self, capsys, tmp_path, spec, argv):
+        path = tmp_path / "overflow.json"
+        path.write_text(getattr(self, spec))
+        code, _, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("error:")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_schur_complement(self, capsys, tmp_path):
+        path = tmp_path / "overflow.json"
+        path.write_text(self.SCHUR)
+        code, _, err = run(capsys, "zeros", path, "--method", "all")
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("error:")
+
+
+def test_exact_quadrature_spec_must_be_real_exactly(capsys, tmp_path):
+    path = tmp_path / "quad.json"
+    spec = json.loads((SPEC_DIR / "quadrature_hidden_pair.json").read_text())
+    spec["D"][0][0] = [1, "1/10000000000000"]
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "check", path)
+    assert code == EXIT_SPEC
+    assert "must be real" in err
+
+
 def documented_exit_codes(capsys):
     """{code: description} from the exit-code table of ``lqsys --help``."""
     with pytest.raises(SystemExit):

@@ -115,6 +115,16 @@ class TestExactInputCheckedExactly:
         near = StateSpace.from_matrices([[1.0, 0.0], [0.0, 1.0 + 1e-12]], eye, eye, eye)
         assert not to_quadrature(near).is_exact
 
+    def test_exact_quadrature_off_by_1e13_rejected(self):
+        eye = [[1, 0], [0, 1]]
+        d = [[GaussianRational(1, Fraction(1, 10**13)), 0], [0, 1]]
+        with pytest.raises(ParameterError, match="D is not"):
+            StateSpace.from_matrices(eye, eye, eye, d, representation="quadrature")
+        # float input keeps its 1e-12 tolerance
+        near = [[1 + 1e-13j, 0], [0, 1]]
+        ss = StateSpace.from_matrices(eye, eye, eye, near, representation="quadrature")
+        assert not ss.is_exact
+
     def test_exact_doubled_up_converts_exactly(self):
         u, v = GaussianRational(1, 2), GaussianRational(Fraction(1, 3), -1)
         a = [[u, v], [v.conjugate(), u.conjugate()]]
