@@ -112,7 +112,9 @@ def _jsonable(obj):
 
         return format_complex(obj, 17)
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return _scalar_text(obj)  # "inf", "-inf" or "nan": JSON has no such number
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, float, str)):
         return obj
     return str(obj)
@@ -120,7 +122,7 @@ def _jsonable(obj):
 
 def emit(report, fmt):
     if fmt == "json":
-        print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+        print(json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False))
     else:
         print(_render_text(report))
 
@@ -243,7 +245,7 @@ def cmd_smf(ss, args, report):
 @_spec_command
 def cmd_kalman(ss, args, report):
     kal = kalman_decompose(ss, args.tol)
-    hm = check_imaginary_hidden_modes(kal, args.tol, args.real_part_tol)
+    hm = check_imaginary_hidden_modes(ss, args.tol, args.real_part_tol)
     report["result"] = kal.to_dict()
     report["hidden_modes"] = hm.to_dict()
     return EXIT_OK

@@ -16,8 +16,13 @@ from dataclasses import dataclass
 
 from .errors import HiddenModeConditionError
 from .kalman import HiddenModeReport, check_imaginary_hidden_modes, kalman_decompose
-from .model import StateSpace, require_physical_realizability, verify_inverse_identity
-from .spectra import SpectrumReport, format_complex
+from .model import (
+    InverseIdentityReport,
+    StateSpace,
+    require_physical_realizability,
+    verify_inverse_identity,
+)
+from .spectra import SpectrumReport
 from .zeros import transmission_zeros
 
 __all__ = [
@@ -75,7 +80,7 @@ def classify_left_invertibility(ss: StateSpace, tol=1e-8) -> InvertibilityReport
     """
     require_physical_realizability(ss, "left-invertibility classification")
     kal = kalman_decompose(ss, min(tol, 1e-9))
-    hm = check_imaginary_hidden_modes(kal, min(tol, 1e-9), real_part_tol=tol)
+    hm = check_imaginary_hidden_modes(ss, min(tol, 1e-9), real_part_tol=tol)
     if not hm.holds:
         raise HiddenModeConditionError(hm.offending)
     observable = kal.eig_observable
@@ -100,24 +105,14 @@ def classify_left_invertibility(ss: StateSpace, tol=1e-8) -> InvertibilityReport
 
 
 @dataclass(frozen=True)
-class InversionWitness:
+class InversionWitness(InverseIdentityReport):
     """Pointwise witness that G(-conj(s))^b composes with G(s) to the
     identity, plus the inverse's pole locations (the mirrored zeros)."""
 
-    ok: bool
-    max_residual: float
-    checked: tuple
-    skipped: tuple
     inverse_poles: SpectrumReport
 
     def to_dict(self):
-        return {
-            "ok": self.ok,
-            "max_residual": self.max_residual,
-            "checked": [format_complex(s, 17) for s in self.checked],
-            "skipped": [format_complex(s, 17) for s in self.skipped],
-            "inverse_poles": self.inverse_poles.to_dict(),
-        }
+        return {**super().to_dict(), "inverse_poles": self.inverse_poles.to_dict()}
 
 
 def inversion_witness(ss: StateSpace, s_samples, tol=1e-9) -> InversionWitness:
@@ -126,10 +121,4 @@ def inversion_witness(ss: StateSpace, s_samples, tol=1e-9) -> InversionWitness:
     skipped with a note."""
     rep = verify_inverse_identity(ss, s_samples, tol)
     zeros_rep = transmission_zeros(ss, min(tol, 1e-9))
-    return InversionWitness(
-        ok=rep.ok,
-        max_residual=rep.max_residual,
-        checked=rep.checked,
-        skipped=rep.skipped,
-        inverse_poles=zeros_rep.mirrored(),
-    )
+    return InversionWitness(**vars(rep), inverse_poles=zeros_rep.mirrored())

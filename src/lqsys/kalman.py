@@ -27,6 +27,7 @@ from .errors import (
     NumericalError,
     SubspaceToleranceError,
 )
+from .linalg import frozen_eigvals, null_space_basis, range_basis
 from .model import StateSpace, require_physical_realizability
 from .spectra import SpectrumReport, format_complex
 
@@ -38,27 +39,6 @@ __all__ = [
     "invariant_zeros_via_kalman",
     "minimal_realization",
 ]
-
-
-def _orth_range(mat, tol):
-    """Orthonormal basis of the column space at a relative rank tolerance."""
-    if mat.size == 0:
-        return np.zeros((mat.shape[0], 0), dtype=mat.dtype)
-    u, sv, _ = np.linalg.svd(mat)
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.zeros((mat.shape[0], 0), dtype=mat.dtype)
-    rank = int(np.count_nonzero(sv > tol * sv[0]))
-    return u[:, :rank]
-
-
-def _orth_null(mat, tol):
-    """Orthonormal basis of the (right) null space."""
-    if mat.size == 0:
-        return np.eye(mat.shape[1], dtype=mat.dtype)
-    u, sv, vh = np.linalg.svd(mat)
-    cutoff = tol * (sv[0] if sv.size else 0.0)
-    rank = int(np.count_nonzero(sv > cutoff))
-    return vh[rank:].conj().T
 
 
 def _krylov(a, b):
@@ -90,7 +70,7 @@ def _intersect(q1, q2, tol):
             gap=gap,
         )
     basis = q1 @ u[:, near]
-    return _orth_range(basis, tol)
+    return range_basis(basis, tol)
 
 
 def _complement_within(q_sub, q_all, tol):
@@ -98,7 +78,7 @@ def _complement_within(q_sub, q_all, tol):
     if q_all.shape[1] == 0:
         return q_all
     proj = q_all - q_sub @ (q_sub.conj().T @ q_all)
-    return _orth_range(proj, tol)
+    return range_basis(proj, tol)
 
 
 @dataclass(frozen=True)
@@ -177,9 +157,9 @@ def _decompose(ss, tol):
     c = ss.C.real.astype(float) if dtype is float else ss.C.astype(complex)
     ns = ss.state_dim
 
-    ctrb = _orth_range(_krylov(a, b), tol) if b.size else np.zeros((ns, 0), dtype)
+    ctrb = range_basis(_krylov(a, b), tol) if b.size else np.zeros((ns, 0), dtype)
     unob = (
-        _orth_null(_krylov(a.conj().T, c.conj().T).conj().T, tol)
+        null_space_basis(_krylov(a.conj().T, c.conj().T).conj().T, tol)
         if c.size
         else np.eye(ns, dtype=dtype)
     )
@@ -188,7 +168,7 @@ def _decompose(ss, tol):
     x2 = _complement_within(x1, ctrb, tol)  # controllable & observable
     x3 = _complement_within(x1, unob, tol)  # uncontrollable & unobservable
     span123 = np.hstack([x1, x2, x3])
-    x4 = _orth_null(span123.conj().T, tol) if span123.size else np.eye(ns, dtype=dtype)
+    x4 = null_space_basis(span123.conj().T, tol) if span123.size else np.eye(ns, dtype=dtype)
 
     dims = (x1.shape[1], x2.shape[1], x3.shape[1], x4.shape[1])
     if sum(dims) != ns:
@@ -219,7 +199,7 @@ def _decompose(ss, tol):
     # minimal realization leaves them memoized where poles() reads them
     reps = [
         SpectrumReport.from_values(
-            minimal.eigenvalues() if k == 1 else np.linalg.eigvals(blk) if blk.size else [],
+            minimal.eigenvalues() if k == 1 else frozen_eigvals(blk),
             tol=tol,
             method="kalman",
         )
@@ -258,7 +238,7 @@ class HiddenModeReport:
 def check_imaginary_hidden_modes(
     ss: StateSpace, tol=1e-9, real_part_tol=1e-8
 ) -> HiddenModeReport:
-    report = ss if isinstance(ss, KalmanReport) else kalman_decompose(ss, tol)
+    report = kalman_decompose(ss, tol)
     offending = []
     for rep in (report.eig_c_obar, report.eig_cbar_o, report.eig_cbar_obar):
         for v, mult in rep.values:
@@ -284,7 +264,7 @@ def invariant_zeros_via_kalman(ss: StateSpace, tol=1e-9):
     """
     require_physical_realizability(ss, "the observable/unobservable zero formula")
     kal = kalman_decompose(ss, tol)
-    hm = check_imaginary_hidden_modes(kal, tol)
+    hm = check_imaginary_hidden_modes(ss, tol)
     if not hm.holds:
         raise HiddenModeConditionError(hm.offending)
     vals = [-v.conjugate() for v in kal.eig_observable.expand()]

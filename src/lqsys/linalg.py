@@ -11,6 +11,13 @@ All quantum system matrices in this package are built from blocks U, V as
 * the sharp adjoint X^# = JJ_r X^T JJ_k^T  with  JJ_k = [[0, I_k], [-I_k, 0]]
   for real matrices in the quadrature representation.
 
+The package's one rank rule is ``svd_rank``: a singular value counts
+when it exceeds tol * max(floor, s1), s1 the largest.  Floor 0 is
+scale-free, for range and null-space bases, where only the ratio to s1
+matters.  Floor 1 decides whether D, G(s0) or P(s0) is singular: their
+entries have a unit scale (D is unitary for a quantum system), so
+singular values that are all below tol count as zero.
+
 Everything here is a pure function of its arguments.
 """
 
@@ -31,28 +38,28 @@ __all__ = [
     "sharp_adjoint",
     "frozen_eigvals",
     "eigenvalues",
+    "svd_rank",
     "rank_at_tolerance",
+    "range_basis",
     "null_space_basis",
     "frobenius",
 ]
 
 
-def as_matrix(x, *, allow_empty=True):
+def as_matrix(x):
     """Coerce to a finite 2-D complex ndarray, rejecting NaN/Inf entries."""
     m = np.atleast_2d(np.asarray(x, dtype=complex))
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
     if m.size and not np.all(np.isfinite(m)):
         raise ParameterError("matrix entries must be finite (no NaN/Inf)")
-    if not allow_empty and m.size == 0:
-        raise DimensionError("empty matrix not allowed here")
     return m
 
 
-def _require_even(m, what="matrix"):
+def _require_even(m):
     r, c = m.shape
     if r % 2 or c % 2:
-        raise DimensionError(f"{what} must have even dimensions, got {r}x{c}")
+        raise DimensionError(f"matrix must have even dimensions, got {r}x{c}")
     return r // 2, c // 2
 
 
@@ -139,17 +146,20 @@ def frozen_eigvals(mat):
     """Eigenvalues of a square array as a read-only array, the form in
     which spectra are memoized on a StateSpace.  This is the package's one
     dense eigenvalue call: a matrix with non-finite entries (an overflow
-    upstream) or an iteration that fails to converge raises
-    NumericalError."""
+    upstream), an iteration that fails to converge or an eigenvalue whose
+    modulus is beyond the float range raises NumericalError."""
     try:
         vals = np.linalg.eigvals(mat)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"eigenvalue computation failed: {e}") from e
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.abs(vals)).all():
+            raise NumericalError("eigenvalue computation failed: a modulus overflows")
     vals.setflags(write=False)
     return vals
 
 
-def eigenvalues(m, tol=1e-9, method="dense"):
+def eigenvalues(m, tol=1e-9):
     """Eigenvalues of a square matrix as a clustered SpectrumReport.
 
     Multiplicities come from clustering at ``tol`` (two values are merged
@@ -160,30 +170,39 @@ def eigenvalues(m, tol=1e-9, method="dense"):
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"eigenvalues need a square matrix, got {m.shape}")
-    if m.shape[0] == 0:
-        return SpectrumReport.from_values([], tol=tol, method=method)
-    return SpectrumReport.from_values(frozen_eigvals(m), tol=tol, method=method)
+    return SpectrumReport.from_values(frozen_eigvals(m), tol=tol, method="dense")
+
+
+def svd_rank(m, tol, floor, vectors):
+    """(rank, u, sv, vh): the SVD of m and its rank, the number of singular
+    values above tol * max(floor, s1) (0 for an empty m); see the module
+    docstring for the two floors.  m is decomposed as given, so a real
+    array gives real factors.  With ``vectors`` this is the full SVD,
+    else the singular values alone, with u and vh None."""
+    if vectors:
+        u, sv, vh = np.linalg.svd(m)
+    else:
+        u, sv, vh = None, np.linalg.svd(m, compute_uv=False), None
+    rank = int(np.count_nonzero(sv > tol * max(floor, sv[0]))) if sv.size else 0
+    return rank, u, sv, vh
 
 
 def rank_at_tolerance(m, tol=1e-9):
     """Number of singular values above tol * (largest singular value)."""
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
-    m = as_matrix(m)
-    if m.size == 0:
-        return 0
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    return svd_rank(as_matrix(m), tol, floor=0, vectors=False)[0]
+
+
+def range_basis(m, tol):
+    """Orthonormal basis (columns) of the numerical column space of the
+    array m, real when m is."""
+    rank, u, _, _ = svd_rank(m, tol, floor=0, vectors=True)
+    return u[:, :rank]
 
 
 def null_space_basis(m, tol=1e-9):
-    """Orthonormal basis (columns) of the numerical null space of m."""
-    m = as_matrix(m)
-    if m.size == 0:
-        return np.eye(m.shape[1], dtype=complex)
-    u, sv, vh = np.linalg.svd(m)
-    cutoff = tol * (sv[0] if sv.size else 0.0)
-    rank = int(np.count_nonzero(sv > cutoff))
+    """Orthonormal basis (columns) of the numerical null space of the
+    array m, real when m is."""
+    rank, _, _, vh = svd_rank(m, tol, floor=0, vectors=True)
     return vh[rank:].conj().T

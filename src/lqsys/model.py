@@ -338,20 +338,22 @@ def check_physical_realizability(ss: StateSpace, tol=1e-10) -> RealizabilityRepo
     Annihilation: A + A^b + C^b C, B + C^b D, D^H D - I.
     Quadrature:   A + A^# + B B^#, B + C^# D, D^T D - I.
     """
-    if ss.representation == "annihilation":
-        cflat = flat_adjoint(ss.C)
-        residuals = {
-            "drift": frobenius(ss.A + flat_adjoint(ss.A) + cflat @ ss.C),
-            "input": frobenius(ss.B + cflat @ ss.D),
-            "unitary_d": frobenius(ss.D.conj().T @ ss.D - np.eye(ss.field_dim)),
-        }
-    else:
-        a, b, c, d = ss.real_matrices()
-        residuals = {
-            "drift": frobenius(a + sharp_adjoint(a) + b @ sharp_adjoint(b)),
-            "input": frobenius(b + sharp_adjoint(c) @ d),
-            "unitary_d": frobenius(d.T @ d - np.eye(ss.field_dim)),
-        }
+    # residuals of huge entries overflow to inf or nan, which fail the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ss.representation == "annihilation":
+            cflat = flat_adjoint(ss.C)
+            residuals = {
+                "drift": frobenius(ss.A + flat_adjoint(ss.A) + cflat @ ss.C),
+                "input": frobenius(ss.B + cflat @ ss.D),
+                "unitary_d": frobenius(ss.D.conj().T @ ss.D - np.eye(ss.field_dim)),
+            }
+        else:
+            a, b, c, d = ss.real_matrices()
+            residuals = {
+                "drift": frobenius(a + sharp_adjoint(a) + b @ sharp_adjoint(b)),
+                "input": frobenius(b + sharp_adjoint(c) @ d),
+                "unitary_d": frobenius(d.T @ d - np.eye(ss.field_dim)),
+            }
     return RealizabilityReport(
         representation=ss.representation, residuals=residuals, tol=tol
     )

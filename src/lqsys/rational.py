@@ -568,18 +568,6 @@ class Poly:
             return other.is_zero()
         return len(self._xs) == 1 or (other % self).is_zero()
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ParameterError("only nonnegative integer powers")
-        out = POLY_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def gcd(self, other):
         """Monic greatest common divisor (Euclid); gcd(a, 0) = monic(a).
         Coprime pairs, the common case, are mostly settled by the cheap
@@ -698,7 +686,7 @@ POLY_ZERO = _raw([], [], 1)
 POLY_ONE = _raw([1], [0], 1)
 
 
-def render_poly(p: Poly, var="s"):
+def render_poly(p: Poly):
     """Canonical text form, highest degree first: 's^2+3s+2', '0' for zero."""
     if p.is_zero():
         return "0"
@@ -710,7 +698,7 @@ def render_poly(p: Poly, var="s"):
         if i == 0:
             body = str(c) if c.is_real() or c.is_imaginary() else f"({c})"
         else:
-            powtxt = var if i == 1 else f"{var}^{i}"
+            powtxt = "s" if i == 1 else f"s^{i}"
             if c == GR_ONE:
                 body = powtxt
             elif c == -GR_ONE:

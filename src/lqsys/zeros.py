@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactlinalg as xl
-from .errors import NumericalError, ParameterError
+from .errors import DimensionError, NumericalError, ParameterError
 from .kalman import minimal_realization
-from .linalg import flat_adjoint, frozen_eigvals, rank_at_tolerance, sharp_adjoint
+from .linalg import flat_adjoint, frozen_eigvals, rank_at_tolerance, sharp_adjoint, svd_rank
 from .model import StateSpace, frequency_response, require_physical_realizability
 from .rational import GR_ONE, Poly
 from .smith import RationalMatrix, smith_mcmillan, zeros_poles_from_smf
@@ -98,14 +98,12 @@ def _schur_spectrum(ss: StateSpace):
 
     def compute():
         d = ss.D.astype(complex)
-        if not d.size:
+        if not d.size or svd_rank(d, 1e-10, floor=1, vectors=False)[0] < len(d):
             return None
-        sv = np.linalg.svd(d, compute_uv=False)
-        if not sv[-1] > 1e-10 * max(1.0, sv[0]):
-            return None
-        schur = ss.A.astype(complex) - ss.B.astype(complex) @ np.linalg.solve(
-            d, ss.C.astype(complex)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # frozen_eigvals refuses inf, nan
+            schur = ss.A.astype(complex) - ss.B.astype(complex) @ np.linalg.solve(
+                d, ss.C.astype(complex)
+            )
         return frozen_eigvals(schur)
 
     return ss.memoized("schur_spectrum", compute)
@@ -223,8 +221,7 @@ def det_zero_test(ss: StateSpace, s0, tol=1e-9) -> bool:
             )
     mini = minimal_realization(ss, tol)
     g = frequency_response(mini, s0)
-    sv = np.linalg.svd(g, compute_uv=False)
-    return bool(sv[-1] <= tol * max(1.0, sv[0]))
+    return svd_rank(g, tol, floor=1, vectors=False)[0] < len(g)
 
 
 @dataclass(frozen=True)
@@ -258,11 +255,11 @@ def zero_directions(ss: StateSpace, s0, tol=1e-8) -> ZeroDirections:
     field components, with hidden-mode flags."""
     s0 = complex(s0)
     pencil = RosenbrockPencil.from_state_space(ss)
-    mat = pencil.evaluate(s0)
-    uu, sv, vh = np.linalg.svd(mat)
-    smallest = float(sv[-1]) if sv.size else 0.0
-    scale = float(sv[0]) if sv.size else 0.0
-    if sv.size and smallest > tol * max(1.0, scale):
+    if pencil.size == 0:
+        raise DimensionError("zero directions need a nonempty Rosenbrock matrix")
+    rank, uu, sv, vh = svd_rank(pencil.evaluate(s0), tol, floor=1, vectors=True)
+    smallest = float(sv[-1])
+    if rank == len(sv):
         raise NumericalError(
             f"{s0} is not an invariant zero at tol {tol}: smallest singular "
             f"value of P(s0) is {smallest:.3e}"

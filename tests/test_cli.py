@@ -1,6 +1,9 @@
 import json
 import re
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
@@ -345,6 +348,31 @@ class TestNonFiniteIntermediates:
         code, _, err = run(capsys, "zeros", path, "--method", "all")
         assert code == EXIT_NUMERICAL
         assert err.startswith("error:")
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+class TestStrictJson:
+    """A residual that overflows prints as the string the text format
+    prints, "inf" or "nan", so --format json stays strict JSON."""
+
+    def test_check_on_overflowing_residuals(self, capsys, tmp_path):
+        path = tmp_path / "overflow.json"
+        path.write_text(TestNonFiniteIntermediates.SCHUR)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "check", path, "--format", "json")
+            text_code, text, _ = run(capsys, "check", path)
+        residuals = json.loads(out, parse_constant=_no_constant)["result"]["residuals"]
+        assert residuals == {"drift": "nan", "input": "inf", "unitary_d": 0.0}
+        assert code == text_code == EXIT_CHECK_FAILED and not err
+        assert "residuals:\n    drift: nan\n    input: inf\n    unitary_d: 0\n" in text
+
+    def test_non_finite_floats(self):
+        report = {"a": np.float64("-inf"), "b": [float("nan"), 1.5], "c": np.float32(2)}
+        assert cli._jsonable(report) == {"a": "-inf", "b": ["nan", 1.5], "c": 2.0}
 
 
 def test_exact_quadrature_spec_must_be_real_exactly(capsys, tmp_path):

@@ -12,6 +12,7 @@ from lqsys import (
     to_quadrature,
     transmission_zeros,
 )
+from lqsys.model import InverseIdentityReport
 
 
 def unitary_symplectic(rng, n):
@@ -99,3 +100,8 @@ class TestInversionWitness:
     def test_pole_sample_skipped(self, gain):
         wit = inversion_witness(gain, [0.5, 1.0], tol=1e-9)
         assert 0.5 + 0j in wit.skipped and wit.ok
+
+    def test_extends_the_inverse_identity_report(self, gain):
+        wit = inversion_witness(gain, [0.5, 1.0], tol=1e-9)
+        assert isinstance(wit, InverseIdentityReport)
+        assert list(wit.to_dict()) == ["ok", "max_residual", "checked", "skipped", "inverse_poles"]

@@ -3,6 +3,7 @@ import pytest
 
 from lqsys import (
     HiddenModeConditionError,
+    StateSpace,
     build_state_space,
     check_imaginary_hidden_modes,
     frequency_response,
@@ -170,3 +171,21 @@ class TestMinimalRealization:
         mini = minimal_realization(to_quadrature(dpa))
         assert mini.representation == "quadrature"
         assert not np.iscomplexobj(mini.A)
+
+    def test_quadrature_split_stays_real(self):
+        # lossless modes make every Kalman basis, range and null space alike,
+        # nontrivial; all of them come out of real SVDs
+        params = with_lossless_modes(random_params(5, 2, 1, passive=True), [0.5, 2.0])
+        q = to_quadrature(build_state_space(params))
+        kal = kalman_decompose(q)
+        assert kal.block_dims == (0, 4, 4, 0)
+        mini = kal.minimal
+        for x in (kal.transformation, mini.A, mini.B, mini.C, mini.D):
+            assert not np.iscomplexobj(x)
+
+    def test_rank_cut_is_scale_free(self):
+        # B and C of size 1e-12: the scale-free floor keeps both states
+        # controllable and observable, a unit floor would drop them
+        ss = StateSpace(A=np.diag([-1.0, -2.0]), B=1e-12 * np.ones((2, 1)),
+                        C=1e-12 * np.ones((1, 2)), D=np.eye(1), representation="annihilation")
+        assert kalman_decompose(ss).block_dims == (0, 2, 0, 0)

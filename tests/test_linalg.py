@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqsys import (
     DimensionError,
@@ -14,7 +16,7 @@ from lqsys import (
     split_doubled_up,
     symplectic_j,
 )
-from lqsys.linalg import as_matrix, null_space_basis
+from lqsys.linalg import as_matrix, null_space_basis, range_basis, svd_rank
 
 
 def rand_even(rng, k, r):
@@ -168,3 +170,70 @@ class TestRank:
     def test_bad_tolerance(self):
         with pytest.raises(ParameterError):
             rank_at_tolerance(np.eye(2), 0.0)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Products L R of small integer matrices, real or complex, scaled by
+    1e-3, 1 or 1e3: the inner size caps the rank, and a zero inner size
+    or zero factor gives a zero matrix; rows and columns may be 0.  The
+    nonzero singular values of an integer matrix this small stay far
+    above 1e-9 of the largest, so every rank is unambiguous."""
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    ints = st.integers(-3, 3)
+
+    def factor(r, c):
+        re = np.array(draw(st.lists(ints, min_size=r * c, max_size=r * c)), float)
+        if not draw(st.booleans()):
+            return re.reshape(r, c)
+        im = np.array(draw(st.lists(ints, min_size=r * c, max_size=r * c)), float)
+        return (re + 1j * im).reshape(r, c)
+
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return scale * (factor(rows, inner) @ factor(inner, cols))
+
+
+def orthonormal(q):
+    return np.allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-12)
+
+
+class TestRankRule:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(low_rank_matrices())
+    def test_bases(self, m):
+        rows, cols = m.shape
+        rank = svd_rank(m, 1e-9, 0, False)[0]
+        rng, null = range_basis(m, 1e-9), null_space_basis(m, 1e-9)
+        left_null = null_space_basis(m.conj().T, 1e-9)
+        assert rank == rng.shape[1] == rank_at_tolerance(m, 1e-9)
+        assert rank + null.shape[1] == cols
+        assert rank + left_null.shape[1] == rows
+        for q in (rng, null, left_null):
+            assert orthonormal(q)
+            assert np.isrealobj(q) == np.isrealobj(m)
+        # the column space and the left null space split C^rows
+        assert np.allclose(rng.conj().T @ left_null, 0, atol=1e-12)
+        scale = max(1.0, np.abs(m).max()) if m.size else 1.0
+        assert np.allclose(m @ null, 0, atol=1e-9 * scale)
+
+    def test_floors_differ_below_unit_scale(self):
+        # s1 = 1e-3 < 1: floor 0 cuts at 1e-12 and keeps 1e-11, floor 1
+        # cuts at 1e-9 and drops it
+        m = np.diag([1e-3, 1e-11])
+        assert svd_rank(m, 1e-9, 0, False)[0] == 2
+        assert svd_rank(m, 1e-9, 1, False)[0] == 1
+        assert rank_at_tolerance(m, 1e-9) == 2
+        assert null_space_basis(m, 1e-9).shape[1] == 0
+
+    def test_vectors_give_the_full_svd(self):
+        m = np.arange(6.0).reshape(2, 3)
+        rank, u, sv, vh = svd_rank(m, 1e-9, 0, True)
+        assert rank == 2 and u.shape == (2, 2) and vh.shape == (3, 3)
+        assert np.allclose(u @ np.diag(sv) @ vh[:2], m)
+        rank, u, sv, vh = svd_rank(m, 1e-9, 0, False)
+        assert rank == 2 and u is None and vh is None and sv.shape == (2,)
+
+    def test_empty(self):
+        assert svd_rank(np.zeros((0, 3)), 1e-9, 1, True)[0] == 0
+        assert np.array_equal(null_space_basis(np.zeros((0, 3)), 1e-9), np.eye(3))
+        assert range_basis(np.zeros((3, 0)), 1e-9).shape == (3, 0)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from lqsys import (
+    DimensionError,
     NumericalError,
     ParameterError,
     RealizabilityError,
     RosenbrockPencil,
+    StateSpace,
     build_state_space,
     det_zero_test,
     invariant_zeros_flat,
@@ -161,6 +163,37 @@ class TestZeroDirections:
         with pytest.raises(NumericalError) as exc:
             zero_directions(gain, 3.0)
         assert "singular value" in str(exc.value)
+
+    def test_empty_system(self):
+        empty = np.zeros((0, 0))
+        ss = StateSpace(A=empty, B=empty, C=empty, D=empty, representation="annihilation")
+        with pytest.raises(DimensionError):
+            zero_directions(ss, 0.0)
+
+
+def tiny_system(a, b, c, d):
+    return StateSpace(A=[[a]], B=[[b]], C=[[c]], D=[[d]], representation="annihilation")
+
+
+class TestRankFloors:
+    """The singular-D test, the det criterion and the zero directions cut
+    at tol * max(1, s1): a matrix whose singular values all sit below tol
+    is singular there, however well conditioned."""
+
+    def test_small_feedthrough_is_singular(self):
+        ss = StateSpace(A=-np.eye(2), B=np.eye(2), C=np.eye(2),
+                        D=np.diag([1e-3, 1e-11]), representation="annihilation")
+        assert "singular-feedthrough" in invariant_zeros_pencil(ss).notes
+
+    def test_det_criterion_on_a_tiny_transfer(self):
+        # G(s0) is about 1e-12 at every s0: a zero under floor 1, not under 0
+        assert det_zero_test(tiny_system(-1.0, 1e-12, 1e-12, 1e-12), 1.0)
+        assert not det_zero_test(tiny_system(-1.0, 1.0, 1.0, 1.0), 1.0)
+
+    def test_zero_directions_of_a_tiny_pencil(self):
+        # P(0) = diag(1e-12, 1e-12) is rank 0 under floor 1, full under 0
+        zd = zero_directions(tiny_system(1e-12, 0.0, 0.0, 1e-12), 0.0)
+        assert zd.smallest_singular_value == 1e-12
 
 
 class TestPoleZeroMirror:
