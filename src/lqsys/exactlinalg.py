@@ -3,29 +3,34 @@
 What the exact paths need and no more: ingestion (``exact_matrix``, and
 ``to_numpy`` for the rounded float copy); the integer kernels
 ``mat_mul``, ``det_exact``, ``charpoly`` and ``pencil_det``, which scale
-each matrix to Gaussian integers over one common denominator, run on
-Python ints and normalize each result entry once (Bareiss elimination,
-Faddeev-LeVerrier, Lagrange interpolation; sizes are a handful of
-modes); and the shape helpers of the exact model build and det identity,
-of which the benchmark imports ``mat_block`` and ``mat_zeros`` with
-``charpoly`` and ``pencil_det``.  The flat and sharp adjoints have no
-exact twin (see ``model.build_state_space`` and
+each matrix once to Gaussian integers over one common denominator
+(``to_scaled``), run on Python ints and normalize each result once
+(Bareiss elimination; Faddeev-LeVerrier over one running denominator;
+Newton interpolation through integer falling factorials; sizes are a
+handful of modes); the scaled product ``scaled_mul`` that ``mat_mul`` and
+the exact transfer matrix share; and the shape helpers of the exact model
+build and det identity, of which the benchmark imports ``mat_block`` and
+``mat_zeros`` with ``charpoly`` and ``pencil_det``.  The flat and sharp
+adjoints have no exact twin (see ``model.build_state_space`` and
 ``zeros.verify_det_identity``).
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import factorial, gcd, lcm
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .rational import GR_ONE, GR_ZERO, GaussianRational, Poly, _gr
+from .rational import GR_ONE, GR_ZERO, POLY_ONE, GaussianRational, _from_parts, _gr, _poly
 
 __all__ = [
     "exact_matrix",
     "to_numpy",
     "shape",
+    "to_scaled",
+    "from_scaled",
+    "scaled_mul",
     "mat_mul",
     "mat_eye",
     "mat_zeros",
@@ -73,39 +78,52 @@ def mat_eye(n):
     return [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
 
 
-def _scaled_ints(a):
+def to_scaled(a):
     """(xs, ys, q): int matrices with xs + ys*i = q*a, q the least common
-    denominator of the entries of a."""
+    denominator of the entries of a.  ``from_scaled`` inverts it."""
     q = lcm(*[x._q for row in a for x in row])
     xs = [[x._x * (q // x._q) for x in row] for row in a]
     ys = [[x._y * (q // x._q) for x in row] for row in a]
     return xs, ys, q
 
 
-def mat_mul(a, b):
-    """Product over one common denominator per factor: an integer triple
-    loop, and one gcd per entry of the result."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise DimensionError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    ax, ay, qa = _scaled_ints(a)
-    bx, by, qb = _scaled_ints(b)
-    q = qa * qb
+def from_scaled(xs, ys, q):
+    """The exact matrix (xs + ys*i)/q, one gcd per entry."""
+    return [[_gr(x, y, q) for x, y in zip(rx, ry)] for rx, ry in zip(xs, ys)]
+
+
+def scaled_mul(a, b):
+    """Product of two scaled matrices (xs, ys, q), as one: an integer
+    triple loop over the Gaussian-integer parts, the denominators
+    multiplied, nothing normalized."""
+    ax, ay, qa = a
+    bx, by, qb = b
     cols = [list(zip(cx, cy)) for cx, cy in zip(zip(*bx), zip(*by))]
-    out = []
+    outx, outy = [], []
     for rx, ry in zip(ax, ay):
         terms = [(k, x1, y1) for k, (x1, y1) in enumerate(zip(rx, ry)) if x1 or y1]
-        row = []
+        rowx, rowy = [], []
         for col in cols:
             sx = sy = 0
             for k, x1, y1 in terms:
                 x2, y2 = col[k]
                 sx += x1 * x2 - y1 * y2
                 sy += x1 * y2 + y1 * x2
-            row.append(_gr(sx, sy, q))
-        out.append(row)
-    return out
+            rowx.append(sx)
+            rowy.append(sy)
+        outx.append(rowx)
+        outy.append(rowy)
+    return outx, outy, qa * qb
+
+
+def mat_mul(a, b):
+    """Product over one common denominator per factor: ``scaled_mul``,
+    and one gcd per entry of the result."""
+    ra, ca = shape(a)
+    rb, cb = shape(b)
+    if ca != rb:
+        raise DimensionError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
+    return from_scaled(*scaled_mul(to_scaled(a), to_scaled(b)))
 
 
 def mat_block(blocks):
@@ -180,71 +198,93 @@ def det_exact(a):
         raise DimensionError("determinant needs a square matrix")
     if r == 0:
         return GR_ONE
-    mx, my, q = _scaled_ints(a)
+    mx, my, q = to_scaled(a)
     dx, dy = _bareiss(mx, my)
     return _gr(dx, dy, q**r)
 
 
 def charpoly(a):
-    """Characteristic polynomial det(sI - A) via Faddeev-LeVerrier.
-
-    Also returns the adjugate expansion coefficients M_1..M_n with
+    """Characteristic polynomial det(sI - A) via Faddeev-LeVerrier on
+    Gaussian integers, with the adjugate expansion coefficients M_1..M_n,
     adj(sI - A) = sum_k M_{k+1} s^(n-1-k), used by the exact resolvent.
+
+    A is scaled once to the Gaussian-integer matrix qA.  Each M_k is kept
+    as an integer matrix N over one running denominator d; with
+    t = tr(qA N), the coefficient is c_(n-k) = -t/(kqd) and
+    M_(k+1) = (k qA N - t I)/(kqd), whose content is stripped once.  The
+    terms are returned in that scaled form, (xs, ys, d) with
+    M_k = (xs + ys*i)/d, for ``scaled_mul``; ``from_scaled`` builds one as
+    an exact matrix.  The polynomial is normalized once.
     """
     n, c = shape(a)
     if n != c:
         raise DimensionError("characteristic polynomial needs a square matrix")
-    coeffs = [GR_ZERO] * (n + 1)
-    coeffs[n] = GR_ONE
-    m_terms = []
-    m = mat_eye(n)
+    qa = to_scaled(a)
+    q = qa[2]
+    xs, ys, qs = [0] * (n + 1), [0] * (n + 1), [1] * (n + 1)
+    xs[n] = 1
+    m = ([[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)], 1)
+    terms = []
     for k in range(1, n + 1):
-        m_terms.append(m)
-        am = mat_mul(a, m)
-        ck = -(sum((am[i][i] for i in range(n)), GR_ZERO) / k)
-        coeffs[n - k] = ck
+        terms.append(m)
+        px, py, _ = scaled_mul(qa, m) if k > 1 else qa
+        tx = sum(px[i][i] for i in range(n))
+        ty = sum(py[i][i] for i in range(n))
+        den = k * q * m[2]
+        xs[n - k], ys[n - k], qs[n - k] = -tx, -ty, den
         if k < n:
-            m = am
+            mx = [[k * x for x in row] for row in px]
+            my = [[k * y for y in row] for row in py]
             for i in range(n):
-                m[i][i] = m[i][i] + ck
-    return Poly(coeffs), m_terms
+                mx[i][i] -= tx
+                my[i][i] -= ty
+            g = gcd(den, *[x for row in mx for x in row], *[y for row in my for y in row])
+            if g != 1:
+                mx = [[x // g for x in row] for row in mx]
+                my = [[y // g for y in row] for row in my]
+            m = (mx, my, den // g)
+    return _from_parts(xs, ys, qs), terms
 
 
 def pencil_det(p0, e):
-    """det(p0 - s*e) as an exact Poly, by evaluation at integer points and
-    Lagrange interpolation.  The degree cannot exceed the number of
-    nonzero rows of e, which bounds the number of sample points needed.
-    Each sample is a Bareiss determinant of the Gaussian-integer matrix
-    (p0*qe - k*e*qp)/(qp*qe), with qp and qe the common denominators."""
+    """det(p0 - s*e) as an exact Poly, by evaluation at the integer nodes
+    0..deg and Newton interpolation.  The degree cannot exceed deg, the
+    number of nonzero rows of e.  Each sample is a Bareiss determinant of
+    the Gaussian-integer matrix p0*qe - k*e*qp, that is den = (qp*qe)^n
+    times det(p0 - k*e), with qp and qe the common denominators.  With
+    D^j the j-th forward difference of the samples at 0,
+
+        deg! * den * det(p0 - s*e) = sum_j (deg!/j!) D^j s(s-1)...(s-j+1),
+
+    whose falling factorials have integer coefficients, so the polynomial
+    is an integer vector over deg! * den, normalized once."""
     n, c = shape(p0)
     if shape(e) != (n, c) or n != c:
         raise DimensionError("pencil blocks must be square and same shape")
     if n == 0:
-        return Poly([1])
+        return POLY_ONE
     deg = sum(1 for row in e if any(not x.is_zero() for x in row))
-    px, py, qp = _scaled_ints(p0)
-    ex, ey, qe = _scaled_ints(e)
-    den = (qp * qe) ** n
-    vals = []
+    px, py, qp = to_scaled(p0)
+    ex, ey, qe = to_scaled(e)
+    vx, vy = [], []
     for k in range(deg + 1):
         kq = k * qp
         mx = [[x * qe - kq * y for x, y in zip(r0, r1)] for r0, r1 in zip(px, ex)]
         my = [[x * qe - kq * y for x, y in zip(r0, r1)] for r0, r1 in zip(py, ey)]
-        vals.append(_gr(*_bareiss(mx, my), den))
-    return _lagrange([GaussianRational(k) for k in range(deg + 1)], vals)
-
-
-def _lagrange(xs, ys):
-    acc = Poly()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi.is_zero():
-            continue
-        li = Poly([1])
-        denom = GR_ONE
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            li = li * Poly([-xj, 1])
-            denom = denom * (xi - xj)
-        acc = acc + li * (yi / denom)
-    return acc
+        x, y = _bareiss(mx, my)
+        vx.append(x)
+        vy.append(y)
+    xs, ys = [0] * (deg + 1), [0] * (deg + 1)
+    fall = [1]  # s(s-1)...(s-j+1), lowest degree first
+    w = fact = factorial(deg)  # w = deg!/j!
+    for j in range(deg + 1):
+        dx, dy = vx[0] * w, vy[0] * w
+        if dx or dy:
+            for i, f in enumerate(fall):
+                xs[i] += dx * f
+                ys[i] += dy * f
+        fall = [lo - j * hi for lo, hi in zip([0] + fall, fall + [0])]
+        w //= j + 1
+        vx = [v1 - v0 for v0, v1 in zip(vx, vx[1:])]
+        vy = [v1 - v0 for v0, v1 in zip(vy, vy[1:])]
+    return _poly(xs, ys, fact * (qp * qe) ** n)

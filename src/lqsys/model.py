@@ -95,6 +95,16 @@ def _ingest(mat, what):
     return arr, None
 
 
+def _implied(arr, ex, shape):
+    """An ingested block (arr, ex) that has no entries takes the implied
+    ``shape`` when that has no entries either: a JSON row list writes a
+    0 x k matrix as [], which reads as 0 x 0.  Any other block is returned
+    as it is, for the caller's shape check."""
+    if arr.size or shape[0] * shape[1] or arr.shape == shape:
+        return arr, ex
+    return np.zeros(shape, dtype=complex), [[] for _ in range(shape[0])]
+
+
 @dataclass(frozen=True)
 class QSystemParams:
     """Physical parameters of an n-mode, m-field linear quantum system.
@@ -124,7 +134,9 @@ class QSystemParams:
             raise ParameterError(
                 f"omega blocks must be square n x n, got {om.shape}, {op.shape}"
             )
-        m = cm.shape[0]
+        m = max(cm.shape[0], cp.shape[0])
+        cm, cm_x = _implied(cm, cm_x, (m, n))
+        cp, cp_x = _implied(cp, cp_x, (m, n))
         if cm.shape != (m, n) or cp.shape != (m, n):
             raise ParameterError(
                 f"coupling blocks must be m x n, got {cm.shape}, {cp.shape}"
@@ -207,6 +219,8 @@ class StateSpace:
         nf = d.shape[0]
         if a.shape != (ns, ns) or d.shape != (nf, nf):
             raise DimensionError("A and D must be square")
+        b, b_x = _implied(b, b_x, (ns, nf))
+        c, c_x = _implied(c, c_x, (nf, ns))
         if b.shape != (ns, nf) or c.shape != (nf, ns):
             raise DimensionError(
                 f"B must be {ns}x{nf} and C {nf}x{ns}, "
@@ -292,9 +306,15 @@ def build_state_space(params: QSystemParams) -> StateSpace:
             raise NumericalError("A overflows: the parameters are too large")
         return StateSpace(A=a, B=b, C=c, D=d, representation="annihilation")
     ex = params.exact
-    cm_h, cp_t = xl.hermitian_t(ex["c_minus"]), xl.transpose(ex["c_plus"])
+    # C_-^H and C_+^T are read by column index: an exact matrix with no
+    # rows (m = 0) keeps no column count, and then C^b C = 0
+    cm_h = [[row[j].conjugate() for row in ex["c_minus"]] for j in range(n)]
+    cp_t = [[row[j] for row in ex["c_plus"]] for j in range(n)]
     c_x = xl.doubled_up_exact(ex["c_minus"], ex["c_plus"])
-    flat_c = xl.mat_mul([h + [-x for x in t] for h, t in zip(cm_h, cp_t)], c_x)
+    if n and m:
+        flat_c = xl.mat_mul([h + [-x for x in t] for h, t in zip(cm_h, cp_t)], c_x)
+    else:
+        flat_c = xl.mat_zeros(n, 2 * n)
     omega = (w1 + w2 for w1, w2 in zip(ex["omega_minus"], ex["omega_plus"]))
     minus_i, half = GaussianRational(0, -1), GaussianRational(Fraction(1, 2))
     a_up = [
@@ -307,8 +327,9 @@ def build_state_space(params: QSystemParams) -> StateSpace:
         "C": c_x,
         "D": xl.mat_eye(2 * m),
     }
+    shapes = {"A": (2 * n, 2 * n), "B": (2 * n, 2 * m), "C": (2 * m, 2 * n), "D": (2 * m, 2 * m)}
     return StateSpace(
-        **{k: xl.to_numpy(v) for k, v in exact.items()},
+        **{k: xl.to_numpy(v).reshape(shapes[k]) for k, v in exact.items()},
         representation="annihilation", exact=exact,
     )
 

@@ -616,6 +616,10 @@ class Poly:
             return POLY_ZERO
         return ((self // self.gcd(other)) * other).monic()
 
+    def conjugate(self):
+        """The polynomial with conjugated coefficients."""
+        return _raw(self._xs, [-y for y in self._ys], self._q)
+
     def compose_neg(self):
         """p(-s): flip signs of odd-degree coefficients."""
         return _raw(

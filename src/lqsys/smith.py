@@ -14,7 +14,6 @@ no floating-point variant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,6 +25,8 @@ from .rational import (
     Poly,
     POLY_ONE,
     RationalFn,
+    _from_parts,
+    _gr,
     content,
 )
 from .spectra import SpectrumReport
@@ -154,7 +155,11 @@ def transfer_matrix_exact(ss) -> RationalMatrix:
 
     Uses the Faddeev-LeVerrier expansion of the resolvent: with
     p(s) = det(sI - A) and adj(sI - A) = sum_k M_k s^(n-1-k), each entry is
-    (D_ij p(s) + [C adj B]_ij) / p(s), reduced.
+    (D_ij p(s) + [C adj B]_ij) / p(s), reduced.  The products C M_k B are
+    formed on the Gaussian-integer matrices of ``charpoly``'s scaled terms
+    (``exactlinalg.scaled_mul``), and each numerator is summed coefficient
+    by coefficient as integer pairs over their denominators and normalized
+    once.
     """
     if not ss.is_exact:
         raise ExactnessError(
@@ -162,21 +167,30 @@ def transfer_matrix_exact(ss) -> RationalMatrix:
             "use frequency_response for floating systems"
         )
     a = ss.exact["A"]
-    b = ss.exact["B"]
-    c = ss.exact["C"]
+    b = xl.to_scaled(ss.exact["B"])
+    c = xl.to_scaled(ss.exact["C"])
     d = ss.exact["D"]
-    n2 = xl.shape(a)[0]
     p, m_terms = xl.charpoly(a)
-    cmb = [xl.mat_mul(xl.mat_mul(c, mk), b) for mk in m_terms]
-    rows, cols = xl.shape(d)
+    # M_k multiplies s^(n-k), so cmb[deg] is the coefficient of s^deg
+    cmb = [xl.scaled_mul(xl.scaled_mul(c, mk), b) for mk in reversed(m_terms)]
+    pxs, pys, pq = p._xs, p._ys, p._q
     out = []
-    for i in range(rows):
+    for i, drow in enumerate(d):
         row = []
-        for j in range(cols):
-            # coefficient of s^(n2-1-k) is cmb[k][i][j]
-            coeffs = [cmb[n2 - 1 - deg][i][j] for deg in range(n2)]
-            num = Poly(coeffs) + Poly.constant(d[i][j]) * p
-            row.append(RationalFn(num, p))
+        for j, dij in enumerate(drow):
+            xs = [t[0][i][j] for t in cmb] + [0]
+            ys = [t[1][i][j] for t in cmb] + [0]
+            qs = [t[2] for t in cmb] + [1]
+            dx, dy, dq = dij._x, dij._y, dij._q
+            if dx or dy:
+                # add D_ij p(s): (dx + dy*i)(pxs + pys*i)/(dq*pq)
+                q2 = dq * pq
+                for k, (x2, y2) in enumerate(zip(pxs, pys)):
+                    q1 = qs[k]
+                    xs[k] = xs[k] * q2 + (dx * x2 - dy * y2) * q1
+                    ys[k] = ys[k] * q2 + (dx * y2 + dy * x2) * q1
+                    qs[k] = q1 * q2
+            row.append(RationalFn(_from_parts(xs, ys, qs), p))
         out.append(row)
     return RationalMatrix(out)
 
@@ -431,17 +445,41 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
 _MAX_DEN = 10**6  # largest denominator tried for a rational root
 
 
+def _limit_denominator(r):
+    """(p, q), the ints of Fraction(r).limit_denominator(_MAX_DEN) for a
+    float r: the same continued fraction, run on r.as_integer_ratio()."""
+    n, d = r.as_integer_ratio()
+    if d <= _MAX_DEN:
+        return n, d
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > _MAX_DEN:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (_MAX_DEN - q0) // q1
+    # p1/q1 is the nearer candidate when 2d(q0 + k q1) <= den, ties included
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def _rationalize(z):
-    return GaussianRational(
-        Fraction(z.real).limit_denominator(_MAX_DEN),
-        Fraction(z.imag).limit_denominator(_MAX_DEN),
-    )
+    xr, qr = _limit_denominator(z.real)
+    xi, qi = _limit_denominator(z.imag)
+    return _gr(xr * qi, xi * qr, qr * qi)
 
 
 def polynomial_roots_exact_first(poly: Poly):
     """Roots of an exact polynomial: exact linear factors are split off by
     rationalizing numeric root estimates and verifying p(root) = 0 exactly;
     whatever remains is handed to a companion-matrix solve and flagged.
+    One ``np.roots`` call per polynomial met, fed from ``horner_coeffs``:
+    when no estimate is an exact root, the estimates of the last call are
+    the numeric roots.
 
     Returns (exact_roots, numeric_roots) where exact_roots is a list of
     GaussianRational (with repetition) and numeric_roots a list of complex.
@@ -450,10 +488,9 @@ def polynomial_roots_exact_first(poly: Poly):
         raise ZeroDivisionError("zero polynomial has no well-defined roots")
     work = poly.monic()
     exact_roots = []
+    estimates = ()
     while work.degree >= 1:
-        coeffs = [complex(c) for c in reversed(work.coeffs)]
-        estimates = np.roots(coeffs)
-        found = False
+        estimates = np.roots(work.horner_coeffs())
         for z in estimates:
             cand = _rationalize(complex(z))
             if work(cand).is_zero():
@@ -461,14 +498,10 @@ def polynomial_roots_exact_first(poly: Poly):
                 while factor.divides(work):
                     work = (work // factor).monic()
                     exact_roots.append(cand)
-                found = True
                 break
-        if not found:
+        else:
             break
-    numeric_roots = []
-    if work.degree >= 1:
-        coeffs = [complex(c) for c in reversed(work.coeffs)]
-        numeric_roots = [complex(z) for z in np.roots(coeffs)]
+    numeric_roots = [complex(z) for z in estimates] if work.degree >= 1 else []
     return exact_roots, numeric_roots
 
 

@@ -10,7 +10,9 @@ A system spec is a JSON object with a ``representation`` field:
 Matrix entries are ``[re, im]`` pairs whose components are either JSON
 numbers (floating input) or strings like ``"3/4"`` (exact Gaussian
 rational input).  A system is exact only if every component of every
-entry is exact.
+entry is exact.  A matrix with no entries may be written ``[]``: it takes
+the shape that the other blocks imply, such as 0 x 2m for the coupling
+blocks of a params spec with n > 0 and m = 0.
 
 A feedback spec (for the SISO coherent-feedback commands) is a JSON
 object with ``omega_plus`` and either both ``c_q`` and ``c_p`` or the
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import SpecFileError
+from .errors import DimensionError, SpecFileError
 from .feedback import QuadPlantParams
 from .model import QSystemParams, StateSpace, build_state_space
 from .rational import GaussianRational
@@ -104,7 +106,10 @@ def load_system_spec(path):
                 f"declared (n, m) = ({raw['n']}, {raw['m']}) but matrices give "
                 f"({params.n}, {params.m})"
             )
-        return build_state_space(params), raw
+        try:
+            return build_state_space(params), raw
+        except DimensionError as e:
+            raise SpecFileError(f"invalid parameters: {e}") from e
     if rep in ("annihilation", "quadrature"):
         keys = ("A", "B", "C", "D")
         missing = [k for k in keys if k not in raw]

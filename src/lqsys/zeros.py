@@ -36,7 +36,7 @@ from .errors import DimensionError, NumericalError, ParameterError
 from .kalman import minimal_realization
 from .linalg import flat_adjoint, frozen_eigvals, rank_at_tolerance, sharp_adjoint, svd_rank
 from .model import StateSpace, frequency_response, require_physical_realizability
-from .rational import GR_ONE, Poly
+from .rational import GR_ONE
 from .smith import RationalMatrix, smith_mcmillan, zeros_poles_from_smf
 from .spectra import SpectrumReport, format_complex, multiset_match
 
@@ -131,7 +131,9 @@ def invariant_zeros_pencil(ss: StateSpace, tol=1e-9) -> SpectrumReport:
     absorbing all infinite eigenvalues: the result is always a multiset of
     size equal to the state dimension.  A singular D (not a quantum
     system) degrades to a QZ solve of (P0, E) whose finite eigenvalues are
-    confirmed by a rank sweep; the report is flagged accordingly.
+    confirmed by a rank sweep; the report is flagged accordingly.  A QZ
+    solve that overflows, giving a non-finite eigenvalue pair, raises
+    NumericalError.
     """
     vals = _schur_spectrum(ss)
     if vals is not None:
@@ -146,8 +148,18 @@ def invariant_zeros_pencil(ss: StateSpace, tol=1e-9) -> SpectrumReport:
         )
     import scipy.linalg  # here so that import lqsys does not load scipy
 
-    raw = scipy.linalg.eig(pencil.p0, pencil.e, right=False)
-    finite = [complex(z) for z in raw if np.isfinite(z)]
+    # homogeneous pairs (alpha, beta): a non-finite one means QZ overflowed,
+    # while beta = 0 marks an infinite eigenvalue, or with alpha = 0 the
+    # indeterminate pair of a singular pencil; both are dropped, and the
+    # rest divided as scipy divides them
+    alpha, beta = scipy.linalg.eig(pencil.p0, pencil.e, right=False, homogeneous_eigvals=True)
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise NumericalError(
+            "QZ of the Rosenbrock pencil overflowed: a generalized eigenvalue "
+            "pair is not finite"
+        )
+    nonzero = beta != 0
+    finite = [complex(z) for z in alpha[nonzero] / beta[nonzero] if np.isfinite(z)]
     nrank = normalrank(ss, tol)
     confirmed = [
         z for z in finite if rank_at_tolerance(pencil.evaluate(z), tol) < nrank
@@ -344,10 +356,12 @@ def verify_det_identity(ss: StateSpace, tol=1e-9) -> DetIdentityReport:
     constant det D, coefficientwise.
 
     Exact systems are checked exactly: the pencil determinant is obtained
-    by evaluation/interpolation and the right side is charpoly(-A), with
-    conjugated coefficients in the annihilation picture (see the module
-    docstring for why no adjoint is formed); both are normalized monic and
-    the dropped unit factor is reported.
+    by ``exactlinalg.pencil_det`` (evaluation and Newton interpolation) and
+    the right side is charpoly(-A), read off charpoly(A) as
+    (-1)^ns charpoly(A)(-s), with conjugated coefficients in the
+    annihilation picture (see the module docstring for why no adjoint is
+    formed); the left side is normalized monic and the dropped unit
+    factor is reported.
 
     Floating systems are checked from the two memoized spectra, with no
     determinant sampled: with invertible D, det P(s) = (-1)^ns det D
@@ -367,17 +381,20 @@ def verify_det_identity(ss: StateSpace, tol=1e-9) -> DetIdentityReport:
         for i in range(ns):
             e[i][i] = GR_ONE
         left = xl.pencil_det(p0, e)
-        right, _ = xl.charpoly([[-x for x in row] for row in a])
+        # charpoly(-A) = det(sI + A) = (-1)^ns charpoly(A)(-s)
+        right = xl.charpoly(a)[0].compose_neg()
+        if ns % 2:
+            right = -right
         if ss.representation == "annihilation":
-            right = Poly([cc.conjugate() for cc in right.coeffs])
+            right = right.conjugate()
         unit = complex(left.leading()) if not left.is_zero() else 0.0
         ok = left.monic() == right and not left.is_zero()
         return DetIdentityReport(
             ok=ok,
             mode="exact",
             unit=unit,
-            det_pencil=tuple(complex(cc) for cc in left.coeffs),
-            det_adjoint=tuple(complex(cc) for cc in right.coeffs),
+            det_pencil=tuple(reversed(left.horner_coeffs())),
+            det_adjoint=tuple(reversed(right.horner_coeffs())),
         )
 
     # both sides from the memoized spectra: det P(s) = (-1)^ns det D

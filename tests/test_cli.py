@@ -328,6 +328,14 @@ class TestNonFiniteIntermediates:
         '"omega_minus": [[[0, 0]]], "omega_plus": [[[0, 0]]],'
         f'"c_minus": [[[{10**200}, 0]]], "c_plus": [[[0, 0]]]}}'
     )
+    # QZ of the singular-D pencil overflows: it returns NaN pairs, which
+    # are neither the infinite eigenvalues nor the 0/0 pairs of a singular
+    # pencil
+    PENCIL = (
+        '{"representation": "annihilation",'
+        '"A": [[[1.3e308, 1.3e308], [0, 0]], [[0, 0], [1.2999999999999999e308, 1.3e308]]],'
+        '"B": [[[1, 0]], [[1, 0]]], "C": [[[1, 0], [1, 0]]], "D": [[[0, 0]]]}'
+    )
     COMMANDS = [("check",), ("zeros", "--method", "all"), ("poles",), ("smf",),
                 ("kalman",), ("invert",)]
 
@@ -348,6 +356,73 @@ class TestNonFiniteIntermediates:
         code, _, err = run(capsys, "zeros", path, "--method", "all")
         assert code == EXIT_NUMERICAL
         assert err.startswith("error:")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_pencil(self, capsys, tmp_path):
+        path = tmp_path / "overflow.json"
+        path.write_text(self.PENCIL)
+        code, out, err = run(capsys, "zeros", path, "--method", "pencil")
+        assert code == EXIT_NUMERICAL and not out
+        assert err.startswith("error:") and "overflowed" in err
+
+
+class TestEmptyBlocks:
+    """A JSON row list writes a matrix with no rows as [], which takes the
+    shape the other blocks imply; a spec that still cannot be built exits
+    with the spec error, not the usage error."""
+
+    D2 = '[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]'
+    SPECS = {
+        "static": '{"representation": "annihilation", "A": [], "B": [], "C": [[], []], "D": %s}' % D2,
+        "no_fields": (
+            '{"representation": "params", "n": 1, "m": 0, "omega_minus": [[[1, 0]]],'
+            '"omega_plus": [[[0, 0]]], "c_minus": [], "c_plus": []}'
+        ),
+        "no_modes": (
+            '{"representation": "params", "n": 0, "m": 1, "omega_minus": [],'
+            '"omega_plus": [], "c_minus": [[]], "c_plus": [[]]}'
+        ),
+    }
+    SHAPES = {"static": (0, 2), "no_fields": (2, 0), "no_modes": (0, 2)}
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize(
+        "argv", [("check",), ("poles",), ("poles", "--exact"), ("smf",), ("kalman",),
+                 ("zeros", "--method", "all"), ("invert",)]
+    )
+    def test_loads_and_runs(self, capsys, tmp_path, name, argv):
+        path = tmp_path / f"{name}.json"
+        path.write_text(self.SPECS[name])
+        code, _, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == EXIT_OK and not err
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_implied_shapes(self, tmp_path, name):
+        from lqsys.specio import load_system_spec
+
+        path = tmp_path / f"{name}.json"
+        path.write_text(self.SPECS[name])
+        ss, _ = load_system_spec(path)
+        ns, nf = self.SHAPES[name]
+        assert (ss.A.shape, ss.B.shape, ss.C.shape, ss.D.shape) == (
+            (ns, ns), (ns, nf), (nf, ns), (nf, nf))
+        assert ss.is_exact and len(ss.exact["B"]) == ns and len(ss.exact["C"]) == nf
+
+    @pytest.mark.parametrize("spec", [
+        # [] cannot stand for a block with entries
+        '{"representation": "annihilation", "A": [[[1, 0]]], "B": [], "C": [[[1, 0]]],'
+        '"D": [[[1, 0]]]}',
+        '{"representation": "params", "n": 1, "m": 1, "omega_minus": [[[1, 0]]],'
+        '"omega_plus": [[[0, 0]]], "c_minus": [], "c_plus": [[[1, 0]]]}',
+        # declared n disagrees with the blocks
+        '{"representation": "params", "n": 1, "m": 1, "omega_minus": [],'
+        '"omega_plus": [], "c_minus": [[]], "c_plus": [[]]}',
+    ])
+    def test_unbuildable_exits_spec_error(self, capsys, tmp_path, spec):
+        path = tmp_path / "bad.json"
+        path.write_text(spec)
+        code, _, err = run(capsys, "check", path)
+        assert code == EXIT_SPEC and err.startswith("error:")
 
 
 def _no_constant(token):

@@ -4,7 +4,8 @@ Poly operations are compared with a coefficient-wise reference written
 here on lists of GaussianRational (one normalized value per coefficient,
 schoolbook algorithms).  Determinants, characteristic polynomials and
 pencil determinants are compared with sympy's DomainMatrix over QQ_I,
-which is a test-only dependency.
+which is a test-only dependency; the adjugate terms of ``charpoly`` are
+checked by the resolvent identity at exact points.
 """
 
 from fractions import Fraction
@@ -328,6 +329,28 @@ class TestExactLinalgAgainstSympy:
         for (k,), z in dict(ref).items():
             coeffs[k] = _from_qq_i(z)
         assert xl.pencil_det(p0, e) == Poly(coeffs)
+
+
+class TestAdjugateExpansion:
+    """charpoly's terms expand the adjugate: (sI - A) sum_k M_k s^(n-1-k)
+    = p(s) I at exact points s."""
+
+    @SETTINGS
+    @given(square_matrices().filter(lambda a: len(a) > 0), gaussians)
+    def test_resolvent_identity(self, a, s):
+        n = len(a)
+        p, terms = xl.charpoly(a)
+        assert len(terms) == n
+        adj = xl.mat_zeros(n, n)
+        for k, term in enumerate(terms):
+            mk = xl.from_scaled(*term)
+            sk = s ** (n - 1 - k)
+            adj = [[x + sk * y for x, y in zip(r0, r1)] for r0, r1 in zip(adj, mk)]
+        shifted = [[(s if i == j else GR_ZERO) - a[i][j] for j in range(n)] for i in range(n)]
+        ps = p(s)
+        assert xl.mat_mul(shifted, adj) == [
+            [ps if i == j else GR_ZERO for j in range(n)] for i in range(n)
+        ]
 
 
 class TestPolyLargeCoefficients:

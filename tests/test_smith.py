@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lqsys import (
     ExactnessError,
@@ -16,7 +20,7 @@ from lqsys import (
     zeros_poles_from_smf,
 )
 from lqsys.rational import GaussianRational
-from lqsys.smith import polynomial_roots_exact_first
+from lqsys.smith import _rationalize, polynomial_roots_exact_first
 
 S = Poly.s()
 
@@ -244,3 +248,52 @@ class TestRootExtraction:
         exact, numeric = polynomial_roots_exact_first(p)
         assert not exact
         assert sorted(round(z.real, 6) for z in numeric) == [-1.414214, 1.414214]
+
+
+def _fractions(draw_int):
+    return st.builds(Fraction, draw_int, st.integers(1, 12))
+
+
+class TestRootExtractionProperties:
+    """``_rationalize`` runs limit_denominator's continued fraction on the
+    ints of the float; the numeric residual is np.roots of the deflated
+    polynomial, as a second call on it would give."""
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite, finite)
+    @example(0.0, -0.0)
+    @example(-0.0, 0.0)
+    @example(3.0, -7.0)
+    @example(5e-324, -5e-324)
+    @example(2.2250738585072014e-308, 1e-310)
+    @example(1e300, -1e300)
+    @example(1.7976931348623157e308, 1 / 3)
+    @example(0.1, 2.5e-7)
+    @example(1e6 + 0.5, -(1e6 + 0.5))
+    def test_rationalize_is_limit_denominator(self, re, im):
+        want = GaussianRational(
+            Fraction(re).limit_denominator(10**6), Fraction(im).limit_denominator(10**6)
+        )
+        assert _rationalize(complex(re, im)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.builds(GaussianRational, _fractions(st.integers(-9, 9)),
+                           _fractions(st.integers(-9, 9))), max_size=4),
+        st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+    )
+    def test_numeric_residual_is_roots_of_deflated(self, roots, tail):
+        # rational roots times s^k + (tail) - 2, mostly without rational roots
+        rest = Poly([c - (2 if i == 0 else 0) for i, c in enumerate(tail)] + [1])
+        p = Poly.from_roots(roots) * rest
+        exact, numeric = polynomial_roots_exact_first(p)
+        deflated = p.monic()
+        for r in exact:
+            deflated, rem = divmod(deflated, Poly([-r, 1]))
+            assert rem.is_zero()
+        if deflated.degree < 1:
+            assert numeric == []
+        else:
+            assert numeric == [complex(z) for z in np.roots(deflated.horner_coeffs())]

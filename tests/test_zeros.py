@@ -50,6 +50,17 @@ class TestInvariantZerosPencil:
         assert rep.is_empty()
         assert "singular-feedthrough" in rep.notes
 
+    def test_singular_pencil_drops_indeterminate_pairs(self, spectrum_equal):
+        # P(s) = P0 - sE is singular for every s (the zero second input and
+        # output); QZ returns alpha = beta = 0 for it, and beta = 0 with
+        # alpha != 0 for the infinite eigenvalue
+        ss = StateSpace.from_matrices(
+            [[1, 0], [0, 2]], [[1, 0], [0, 0]], [[1, 0], [0, 0]], [[0, 0], [0, 0]]
+        )
+        rep = invariant_zeros_pencil(ss)
+        spectrum_equal(rep, [2.0])
+        assert "rank-sweep-confirmed" in rep.notes
+
     def test_count_equals_state_dimension(self):
         for seed in range(8):
             ss = build_state_space(random_params(seed, (seed % 4) + 1, 2))
