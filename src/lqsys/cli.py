@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -47,6 +48,7 @@ EXIT_EXACTNESS = ExactnessError.exit_code
 EXIT_REFUSED = HiddenModeConditionError.exit_code
 EXIT_NUMERICAL = NumericalError.exit_code
 EXIT_DEGENERATE = DegenerateNetworkError.exit_code
+EXIT_BROKEN_PIPE = 8
 
 EXIT_TABLE = f"""\
 exit codes:
@@ -61,6 +63,8 @@ exit codes:
      condition does not hold, so the requested criterion is invalid
   {EXIT_NUMERICAL}  numerical failure (evaluation at a pole, unstable rank decision)
   {EXIT_DEGENERATE}  degenerate network, unsolvable or singular synthesis
+  {EXIT_BROKEN_PIPE}  standard output was closed before the report was written
+     (broken pipe)
 """
 
 _SPECTRUM_ENTRY = {"value", "multiplicity"}
@@ -448,10 +452,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed reader shows here, not at exit
+        return code
     except LqsysError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull first, as
+        # the Python docs advise (signal module, note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -7,12 +7,14 @@ each matrix once to Gaussian integers over one common denominator
 (``to_scaled``), run on Python ints and normalize each result once
 (Bareiss elimination; Faddeev-LeVerrier over one running denominator;
 Newton interpolation through integer falling factorials; sizes are a
-handful of modes); the scaled product ``scaled_mul`` that ``mat_mul`` and
-the exact transfer matrix share; and the shape helpers of the exact model
-build and det identity, of which the benchmark imports ``mat_block`` and
-``mat_zeros`` with ``charpoly`` and ``pencil_det``.  The flat and sharp
-adjoints have no exact twin (see ``model.build_state_space`` and
-``zeros.verify_det_identity``).
+handful of modes); the scaled product ``scaled_mul`` that ``mat_mul``, the
+exact transfer matrix and the exact det identity share; and the shape
+helpers of the exact model build.  ``pencil_det`` has no library caller:
+the det identity takes det P(s) from the Schur complement, and
+``pencil_det`` serves the benchmark's traced probe (with ``mat_block``
+and ``mat_zeros``) and the tests as an independent reference.  The flat
+and sharp adjoints have no exact twin (see ``model.build_state_space``
+and ``zeros.verify_det_identity``).
 """
 
 from __future__ import annotations

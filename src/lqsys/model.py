@@ -383,8 +383,13 @@ def check_physical_realizability(ss: StateSpace, tol=1e-10) -> RealizabilityRepo
 def require_physical_realizability(ss: StateSpace, purpose):
     """Refuse, with RealizabilityError, a system whose realizability
     residuals exceed 1e-8; ``purpose`` names the computation that needs
-    the identities and opens the message."""
+    the identities and opens the message.  A residual that is not finite
+    (overflow of huge entries) decides nothing and raises NumericalError."""
     rb = check_physical_realizability(ss, 1e-8)
+    if not all(np.isfinite(r) for r in rb.residuals.values()):
+        raise NumericalError(
+            f"{purpose}: a realizability residual is not finite, {rb.residuals}"
+        )
     if not rb.passed:
         raise RealizabilityError(
             f"{purpose} needs a physically realizable system; residuals "

@@ -15,14 +15,15 @@ realization numerically, or from the Smith-McMillan form exactly.
 
 The two floating-point spectra, eig(A - B D^-1 C) and eig(-A^b), are
 computed once per StateSpace and memoized on it; clustering at ``tol``
-and the realizability check run on every call.  The numeric det identity
-is built from the same two spectra, because det P(s) = (-1)^ns det D
-det(sI - (A - B D^-1 C)).
-
-The exact det identity forms no adjoint.  A^b = J A^H J and A^# =
-JJ A^T JJ^T are similarities, because J^2 = I and JJ is orthogonal, so
-det(sI + A^b) = det(sI + A^H), which is charpoly(-A) with conjugated
-coefficients, and det(sI + A^#) = det(sI + A^T) = charpoly(-A).
+and the realizability check run on every call.  The det identity has one
+rule for exact and floating input, the Schur determinant formula
+det P(s) = (-1)^ns det D det(sI - (A - B D^-1 C)): floating systems read
+it off the same two spectra, exact ones take charpoly(A - B D^-1 C) with
+D^-1 from the adjugate terms of charpoly(D).  It forms no adjoint in
+exact arithmetic: A^b = J A^H J and A^# = JJ A^T JJ^T are similarities,
+because J^2 = I and JJ is orthogonal, so det(sI + A^b) = det(sI + A^H),
+which is charpoly(-A) with conjugated coefficients, and
+det(sI + A^#) = det(sI + A^T) = charpoly(-A).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import DimensionError, NumericalError, ParameterError
 from .kalman import minimal_realization
 from .linalg import flat_adjoint, frozen_eigvals, rank_at_tolerance, sharp_adjoint, svd_rank
 from .model import StateSpace, frequency_response, require_physical_realizability
-from .rational import GR_ONE
+from .rational import Poly
 from .smith import RationalMatrix, smith_mcmillan, zeros_poles_from_smf
 from .spectra import SpectrumReport, format_complex, multiset_match
 
@@ -320,8 +321,12 @@ def verify_pole_zero_mirror(system, tol=1e-7) -> MirrorReport:
     classical systems generally fail it (e.g. an integrator-like plant
     with a pole and no transmission zero).
     """
-    pole_rep = poles(system, min(tol, 1e-9))
-    zero_rep = transmission_zeros(system, min(tol, 1e-9))
+    inner = min(tol, 1e-9)
+    if isinstance(system, RationalMatrix):  # one reduction gives both
+        zero_rep, pole_rep = zeros_poles_from_smf(smith_mcmillan(system), inner)
+    else:
+        pole_rep = poles(system, inner)
+        zero_rep = transmission_zeros(system, inner)
     expected = pole_rep.mirrored()
     pairs = multiset_match(zero_rep.expand(), expected.expand(), tol)
     return MirrorReport(
@@ -355,67 +360,60 @@ def verify_det_identity(ss: StateSpace, tol=1e-9) -> DetIdentityReport:
     """Verify det P(s) = det(sI + A^b) (or the sharp analog) up to the
     constant det D, coefficientwise.
 
-    Exact systems are checked exactly: the pencil determinant is obtained
-    by ``exactlinalg.pencil_det`` (evaluation and Newton interpolation) and
-    the right side is charpoly(-A), read off charpoly(A) as
-    (-1)^ns charpoly(A)(-s), with conjugated coefficients in the
-    annihilation picture (see the module docstring for why no adjoint is
-    formed); the left side is normalized monic and the dropped unit
-    factor is reported.
+    One rule serves exact and floating systems: with invertible D,
+    det P(s) = unit * charpoly(A - B D^-1 C) with unit = (-1)^ns det D, and
+    the monic charpoly(A - B D^-1 C) is compared with charpoly(-A^b).  The
+    identity presumes an invertible D, so a singular D gives ``ok=False``
+    with an empty ``det_pencil``.
 
-    Floating systems are checked from the two memoized spectra, with no
-    determinant sampled: with invertible D, det P(s) = (-1)^ns det D
-    prod(s - mu) over mu in eig(A - B D^-1 C), and the right side is
-    prod(s - nu) over nu in eig(-A^b).  The monic sides are compared
-    coefficientwise, max |l_k - r_k| <= tol * max(1, max |r_k|), and
-    ``unit`` is (-1)^ns det D.  The identity presumes an invertible D, so
-    a singular D gives ``ok=False`` with an empty ``det_pencil``.
-    Coefficient tuples are lowest degree first.
+    Exact systems are compared with ``==``.  With p = charpoly(D) and its
+    last adjugate term M_nf, (-D) M_nf = p(0) I, so D^-1 = -M_nf/p(0),
+    det D = (-1)^nf p(0) and A - B D^-1 C = A + B M_nf C/p(0); the right
+    side is (-1)^ns charpoly(A)(-s), with conjugated coefficients in the
+    annihilation picture (see the module docstring for why no adjoint is
+    formed).  Floating systems read both sides off the two memoized
+    spectra and compare coefficientwise,
+    max |l_k - r_k| <= tol * max(1, max |r_k|).  Coefficient tuples are
+    lowest degree first.
     """
+    ns = ss.state_dim
     if ss.is_exact:
         a, b, c, d = (ss.exact[k] for k in ("A", "B", "C", "D"))
-        ns = xl.shape(a)[0]
-        nf = xl.shape(d)[0]
-        p0 = xl.mat_block([[a, b], [c, d]])
-        e = xl.mat_zeros(ns + nf, ns + nf)
-        for i in range(ns):
-            e[i][i] = GR_ONE
-        left = xl.pencil_det(p0, e)
+        p, terms = xl.charpoly(d)
+        unit = p.coeffs[0] * (-1) ** (ns + len(d))
+        lmon = None
+        if unit:
+            schur = a
+            if terms:
+                bmc = xl.scaled_mul(xl.scaled_mul(xl.to_scaled(b), terms[-1]), xl.to_scaled(c))
+                schur = [
+                    [x + y / p.coeffs[0] for x, y in zip(ra, rb)]
+                    for ra, rb in zip(a, xl.from_scaled(*bmc))
+                ]
+            lmon = xl.charpoly(schur)[0]
         # charpoly(-A) = det(sI + A) = (-1)^ns charpoly(A)(-s)
-        right = xl.charpoly(a)[0].compose_neg()
-        if ns % 2:
-            right = -right
+        right = xl.charpoly(a)[0].compose_neg() * (-1) ** ns
         if ss.representation == "annihilation":
             right = right.conjugate()
-        unit = complex(left.leading()) if not left.is_zero() else 0.0
-        ok = left.monic() == right and not left.is_zero()
-        return DetIdentityReport(
-            ok=ok,
-            mode="exact",
-            unit=unit,
-            det_pencil=tuple(reversed(left.horner_coeffs())),
-            det_adjoint=tuple(reversed(right.horner_coeffs())),
-        )
-
-    # both sides from the memoized spectra: det P(s) = (-1)^ns det D
-    # charpoly(A - B D^-1 C) and det(sI + A^b) = charpoly(-A^b); the first
-    # presumes an invertible D, so a singular one fails the identity
-    right = np.poly(_adjoint_spectrum(ss))
-    mu = _schur_spectrum(ss)
-    lmon = None if mu is None else np.poly(mu)
-    unit = (-1) ** ss.state_dim * complex(np.linalg.det(ss.D))
-    scale = max(1.0, float(np.max(np.abs(right))))
-    ok = lmon is not None and bool(np.max(np.abs(lmon - right)) <= tol * scale)
+        ok = lmon == right  # False for None
+    else:
+        right = np.poly(_adjoint_spectrum(ss))
+        mu = _schur_spectrum(ss)
+        lmon = None if mu is None else np.poly(mu)
+        unit = (-1) ** ns * complex(np.linalg.det(ss.D))
+        scale = max(1.0, float(np.max(np.abs(right))))
+        ok = lmon is not None and bool(np.max(np.abs(lmon - right)) <= tol * scale)
     return DetIdentityReport(
         ok=ok,
-        mode="numeric",
-        unit=unit,
-        det_pencil=() if lmon is None else _ascending(unit * lmon),
+        mode="exact" if ss.is_exact else "numeric",
+        unit=complex(unit),
+        det_pencil=() if lmon is None else _ascending(lmon * unit),
         det_adjoint=_ascending(right),
     )
 
 
-def _ascending(coeffs):
-    """np.poly coefficients (highest degree first) as a tuple of complex,
-    lowest degree first."""
-    return tuple(complex(z) for z in np.atleast_1d(coeffs)[::-1])
+def _ascending(p):
+    """The coefficients of an exact Poly or of an np.poly array (highest
+    degree first) as a tuple of complex, lowest degree first."""
+    coeffs = p.horner_coeffs() if isinstance(p, Poly) else np.atleast_1d(p)
+    return tuple(complex(z) for z in coeffs[::-1])

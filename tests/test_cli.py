@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 
 from lqsys import cli, errors
 from lqsys.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CHECK_FAILED,
     EXIT_EXACTNESS,
     EXIT_NUMERICAL,
@@ -513,3 +517,24 @@ def test_error_exit_code_is_documented(capsys, monkeypatch, error, doc):
     monkeypatch.setattr(cli, "check_physical_realizability", fail)
     code, out, err = run(capsys, "check", SPEC_DIR / "gain_system.json")
     assert (code, out, err) == (want, "", f"error: {error}\n")
+
+
+def test_closed_reader_exits_with_its_code_and_no_traceback(capsys):
+    """A reader that closed the pipe before the report is written (as in
+    ``lqsys zeros ... | head`` when head has already exited)."""
+    assert "broken pipe" in documented_exit_codes(capsys)[EXIT_BROKEN_PIPE]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lqsys.cli", "zeros", str(SPEC_DIR / "dpa.json"),
+             "--method", "all"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert "Traceback" not in proc.stderr

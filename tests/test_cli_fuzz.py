@@ -162,3 +162,21 @@ def test_eigenvalue_modulus_beyond_float_range(tmp_path):
     results = run_all_commands(_spec_file(tmp_path, spec))
     assert_clean(results)
     assert {argv[0]: code for argv, code, _ in results}["kalman"] == 6
+
+
+def test_exact_spec_whose_realizability_residual_overflows(tmp_path):
+    # c_minus = 10^150 is realizable by construction, but the drift residual
+    # of the float copy overflows to inf, which decides nothing: the
+    # commands that need realizability fail numerically (exit 6) instead of
+    # refusing the system (exit 5)
+    zero = [[[0, 0]]]
+    spec = {"representation": "params", "n": 1, "m": 1, "omega_minus": zero,
+            "omega_plus": zero, "c_minus": [[[str(10**150), 0]]], "c_plus": zero}
+    path = _spec_file(tmp_path, spec)
+    results = run_all_commands(path)
+    assert_clean(results)
+    codes = {argv[0]: code for argv, code, _ in results}
+    assert codes["invert"] == codes["zeros"] == 6
+    for method in ("flat", "theorem"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["zeros", str(path), "--method", method]) == 6

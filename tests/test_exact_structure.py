@@ -5,14 +5,16 @@ The exact model is built block by block and the exact det identity takes
 its right side as charpoly(-A) without forming an adjoint; here the
 adjoints J X^H J and JJ X^T JJ^T and every matrix product are written out
 on lists of GaussianRational, so the identities are checked on their
-textbook form.
+textbook form.  Its left side, taken from the Schur complement
+A - B D^-1 C, is checked against ``pencil_det`` of the assembled
+Rosenbrock pencil.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lqsys import (
@@ -20,11 +22,14 @@ from lqsys import (
     StateSpace,
     build_state_space,
     random_params,
+    to_quadrature,
     verify_det_identity,
     with_lossless_modes,
 )
 from lqsys import exactlinalg as xl
 from lqsys.rational import GR_ONE, GR_ZERO, GaussianRational
+
+from test_exact_recorded import _pencil
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -129,7 +134,48 @@ def exact_state_spaces(draw):
     return StateSpace.from_matrices(*mats, representation=representation)
 
 
+@st.composite
+def invertible_d_state_spaces(draw):
+    """Exact (A, B, C, D) of any sizes, ns = 0 and nf = 0 included, with an
+    exactly invertible D; complex in the annihilation picture, real in
+    quadrature."""
+    representation = draw(st.sampled_from(["annihilation", "quadrature"]))
+    entries = gaussians if representation == "annihilation" else fractions
+    ns, nf = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    mats = [draw(exact_matrices(r, c, entries))
+            for r, c in ((ns, ns), (ns, nf), (nf, ns), (nf, nf))]
+    ss = StateSpace.from_matrices(*mats, representation=representation)
+    assume(not xl.det_exact(ss.exact["D"]).is_zero())
+    return ss
+
+
 class TestExactDetIdentity:
+    @SETTINGS
+    @given(invertible_d_state_spaces())
+    def test_left_side_is_the_pencil_determinant(self, ss):
+        """The Schur-complement left side against det P(s) sampled and
+        interpolated, and the verdict against the monic det P(s) compared
+        with det(sI + A^H) (annihilation) or det(sI + A^T) (quadrature)."""
+        rep = verify_det_identity(ss)
+        pdet = xl.pencil_det(*_pencil(ss))
+        assert rep.mode == "exact"
+        assert rep.det_pencil == tuple(complex(x) for x in pdet.coeffs)
+        assert rep.unit == complex(pdet.leading())
+        a = ss.exact["A"]
+        at = xl.hermitian_t(a) if ss.representation == "annihilation" else xl.transpose(a)
+        right, _ = xl.charpoly([[-x for x in row] for row in at])
+        assert rep.ok == (pdet.monic() == right)
+
+    def test_no_pencil_sampling(self, monkeypatch):
+        def fail(*_):
+            raise AssertionError("the det identity sampled the pencil")
+
+        monkeypatch.setattr(xl, "pencil_det", fail)
+        ss = build_state_space(random_params(3, 3, 2, exact=True))
+        for sys_ in (ss, to_quadrature(ss)):
+            rep = verify_det_identity(sys_)
+            assert rep.ok and rep.mode == "exact"
+
     @SETTINGS
     @given(exact_state_spaces())
     def test_right_side_is_the_adjoint_charpoly(self, ss):

@@ -263,6 +263,12 @@ class TestDetIdentity:
         rep = verify_det_identity(cavity)
         assert rep.ok and rep.mode == "numeric"
 
+    def test_singular_feedthrough_fails(self, classical_pole_only):
+        # the float rule: no pencil side and unit (-1)^ns det D = 0
+        rep = verify_det_identity(classical_pole_only)
+        assert not rep.ok and rep.mode == "exact"
+        assert rep.det_pencil == () and rep.unit == 0
+
     def test_closed_system(self):
         from lqsys import QSystemParams
 
@@ -340,7 +346,7 @@ class TestNumericDetIdentity:
         ss = dataclasses.replace(cavity, D=np.diag([1.0, 0.0]))
         rep = verify_det_identity(ss)
         assert not rep.ok and rep.mode == "numeric"
-        assert rep.det_pencil == ()
+        assert rep.det_pencil == () and rep.unit == 0
 
 
 class TestNormalRank:
