@@ -1,20 +1,24 @@
 """Dense exact matrices over Q(i) as lists of lists of GaussianRational.
 
-What the exact paths need and no more: ingestion (``exact_matrix``, and
-``to_numpy`` for the rounded float copy); the integer kernels
-``mat_mul``, ``det_exact``, ``charpoly`` and ``pencil_det``, which scale
-each matrix once to Gaussian integers over one common denominator
+Lists are the storage of exact matrices (``StateSpace.exact``) and the
+input of the integer kernels; the model builders write their formulas
+once on numpy object arrays of GaussianRational instead (see
+``model.build_state_space``), so no structure helper is kept here.  What
+remains: ingestion (``exact_matrix``, and ``to_numpy`` for the rounded
+float copy, which refuses an entry beyond the float range) and ``shape``;
+the integer kernels ``det_exact``, ``charpoly`` and ``pencil_det``, which
+scale each matrix once to Gaussian integers over one common denominator
 (``to_scaled``), run on Python ints and normalize each result once
 (Bareiss elimination; Faddeev-LeVerrier over one running denominator;
 Newton interpolation through integer falling factorials; sizes are a
-handful of modes); the scaled product ``scaled_mul`` that ``mat_mul``, the
-exact transfer matrix and the exact det identity share; and the shape
-helpers of the exact model build.  ``pencil_det`` has no library caller:
-the det identity takes det P(s) from the Schur complement, and
-``pencil_det`` serves the benchmark's traced probe (with ``mat_block``
-and ``mat_zeros``) and the tests as an independent reference.  The flat
-and sharp adjoints have no exact twin (see ``model.build_state_space``
-and ``zeros.verify_det_identity``).
+handful of modes); and the scaled product ``scaled_mul`` that the exact
+transfer matrix and the exact det identity share.  ``mat_mul``,
+``det_exact`` and ``pencil_det`` have no library caller: the tests use
+them as independent references, and the det identity takes det P(s) from
+the Schur complement.  ``pencil_det``, ``mat_block`` and ``mat_zeros``
+also serve the benchmark's traced probe.  An empty matrix needs no
+special case: its determinant, and the determinant of an empty pencil,
+come out as 1.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from math import factorial, gcd, lcm
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .rational import GR_ONE, GR_ZERO, POLY_ONE, GaussianRational, _from_parts, _gr, _poly
+from .rational import GR_ZERO, GaussianRational, _from_parts, _gr, _poly
 
 __all__ = [
     "exact_matrix",
@@ -34,12 +38,8 @@ __all__ = [
     "from_scaled",
     "scaled_mul",
     "mat_mul",
-    "mat_eye",
     "mat_zeros",
     "mat_block",
-    "hermitian_t",
-    "transpose",
-    "doubled_up_exact",
     "det_exact",
     "charpoly",
     "pencil_det",
@@ -74,10 +74,6 @@ def shape(m):
 
 def mat_zeros(r, c):
     return [[GR_ZERO for _ in range(c)] for _ in range(r)]
-
-
-def mat_eye(n):
-    return [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
 
 
 def to_scaled(a):
@@ -138,23 +134,6 @@ def mat_block(blocks):
     return rows
 
 
-def transpose(a):
-    r, c = shape(a)
-    return [[a[i][j] for i in range(r)] for j in range(c)]
-
-
-def hermitian_t(a):
-    r, c = shape(a)
-    return [[a[i][j].conjugate() for i in range(r)] for j in range(c)]
-
-
-def doubled_up_exact(u, v):
-    """[[U, V], [conj(V), conj(U)]], the exact twin of linalg.doubled_up."""
-    ubar = [[x.conjugate() for x in row] for row in u]
-    vbar = [[x.conjugate() for x in row] for row in v]
-    return mat_block([[u, v], [vbar, ubar]])
-
-
 def _bareiss(mx, my):
     """Determinant (x, y) of the Gaussian-integer matrix mx + my*i by Bareiss
     elimination, overwriting both.  Each step divides exactly by the
@@ -198,8 +177,6 @@ def det_exact(a):
     r, c = shape(a)
     if r != c:
         raise DimensionError("determinant needs a square matrix")
-    if r == 0:
-        return GR_ONE
     mx, my, q = to_scaled(a)
     dx, dy = _bareiss(mx, my)
     return _gr(dx, dy, q**r)
@@ -263,8 +240,6 @@ def pencil_det(p0, e):
     n, c = shape(p0)
     if shape(e) != (n, c) or n != c:
         raise DimensionError("pencil blocks must be square and same shape")
-    if n == 0:
-        return POLY_ONE
     deg = sum(1 for row in e if any(not x.is_zero() for x in row))
     px, py, qp = to_scaled(p0)
     ex, ey, qe = to_scaled(e)

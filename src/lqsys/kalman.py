@@ -57,8 +57,6 @@ def _intersect(q1, q2, tol):
     ambiguous band around 1, since then the intersection dimension is not
     a stable function of the tolerance.
     """
-    if q1.shape[1] == 0 or q2.shape[1] == 0:
-        return np.zeros((q1.shape[0], 0), dtype=q1.dtype)
     u, sv, _ = np.linalg.svd(q1.conj().T @ q2, full_matrices=False)
     near = sv >= 1 - 100 * tol
     ambiguous = (~near) & (sv >= 1 - max(1e-4, 1e4 * tol))
@@ -75,8 +73,6 @@ def _intersect(q1, q2, tol):
 
 def _complement_within(q_sub, q_all, tol):
     """Orthonormal basis of span(q_all) orthogonal to span(q_sub)."""
-    if q_all.shape[1] == 0:
-        return q_all
     proj = q_all - q_sub @ (q_sub.conj().T @ q_all)
     return range_basis(proj, tol)
 
@@ -157,18 +153,14 @@ def _decompose(ss, tol):
     c = ss.C.real.astype(float) if dtype is float else ss.C.astype(complex)
     ns = ss.state_dim
 
-    ctrb = range_basis(_krylov(a, b), tol) if b.size else np.zeros((ns, 0), dtype)
-    unob = (
-        null_space_basis(_krylov(a.conj().T, c.conj().T).conj().T, tol)
-        if c.size
-        else np.eye(ns, dtype=dtype)
-    )
+    ctrb = range_basis(_krylov(a, b), tol)
+    unob = null_space_basis(_krylov(a.conj().T, c.conj().T).conj().T, tol)
 
     x1 = _intersect(ctrb, unob, tol)  # controllable & unobservable
     x2 = _complement_within(x1, ctrb, tol)  # controllable & observable
     x3 = _complement_within(x1, unob, tol)  # uncontrollable & unobservable
     span123 = np.hstack([x1, x2, x3])
-    x4 = null_space_basis(span123.conj().T, tol) if span123.size else np.eye(ns, dtype=dtype)
+    x4 = null_space_basis(span123.conj().T, tol)
 
     dims = (x1.shape[1], x2.shape[1], x3.shape[1], x4.shape[1])
     if sum(dims) != ns:
@@ -179,7 +171,7 @@ def _decompose(ss, tol):
     t = np.hstack([x1, x2, x3, x4])
     t.setflags(write=False)
     a_t = np.linalg.solve(t, a @ t)
-    b_t = np.linalg.solve(t, b) if b.size else b.copy()
+    b_t = np.linalg.solve(t, b)
     c_t = c @ t
 
     edges = np.cumsum((0,) + dims)

@@ -51,7 +51,7 @@ def as_matrix(x):
     m = np.atleast_2d(np.asarray(x, dtype=complex))
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
+    if not np.all(np.isfinite(m)):
         raise ParameterError("matrix entries must be finite (no NaN/Inf)")
     return m
 
@@ -63,13 +63,23 @@ def _require_even(m):
     return r // 2, c // 2
 
 
+def _exact_or_matrix(x):
+    """x itself when it is a numpy object array of exact scalars, else
+    ``as_matrix(x)``."""
+    if isinstance(x, np.ndarray) and x.dtype == object:
+        return x
+    return as_matrix(x)
+
+
 def doubled_up(u, v):
-    """Assemble [[U, V], [conj(V), conj(U)]] from k x r blocks U and V."""
-    u = as_matrix(u)
-    v = as_matrix(v)
+    """Assemble [[U, V], [conj(V), conj(U)]] from k x r blocks U and V:
+    complex, or exact when both blocks are numpy object arrays of exact
+    scalars (GaussianRational), which are assembled as they are."""
+    u = _exact_or_matrix(u)
+    v = _exact_or_matrix(v)
     if u.shape != v.shape:
         raise DimensionError(f"blocks differ in shape: {u.shape} vs {v.shape}")
-    return np.block([[u, v], [v.conj(), u.conj()]])
+    return np.vstack([np.hstack([u, v]), np.hstack([v, u]).conj()])
 
 
 def split_doubled_up(x):
@@ -83,13 +93,11 @@ def is_doubled_up(x, tol=1e-12):
     """True when the lower block row equals the conjugate of the upper one:
     within tol relative to the Frobenius norm, or exactly, with tol unread,
     for a numpy object array of exact scalars."""
-    exact = isinstance(x, np.ndarray) and x.dtype == object
-    if not exact:
-        x = as_matrix(x)
+    x = _exact_or_matrix(x)
     k, r = _require_even(x)
     u, v = x[:k, :r], x[:k, r:]
     lower = np.block([v.conj(), u.conj()])
-    if exact:
+    if x.dtype == object:
         return bool((x[k:, :] == lower).all())
     scale = max(1.0, frobenius(x))
     return frobenius(x[k:, :] - lower) <= tol * scale
@@ -138,8 +146,7 @@ def sharp_adjoint(x):
 
 def frobenius(x):
     """Frobenius norm, 0.0 for empty matrices."""
-    x = np.asarray(x)
-    return float(np.linalg.norm(x)) if x.size else 0.0
+    return float(np.linalg.norm(x))
 
 
 def frozen_eigvals(mat):

@@ -16,13 +16,11 @@ with the unitary V = (1/sqrt 2) [[I, I], [-iI, iI]].
 
 When every parameter entry is an exact rational (int, Fraction, string or
 GaussianRational), the construction is carried out exactly instead, and the
-floating quadruple is the rounded exact one.  ``to_quadrature``,
-``with_lossless_modes`` and ``random_params`` write their formula once and
-apply it to complex arrays or to numpy object arrays of GaussianRational;
-``build_state_space`` keeps two formulas and runs only the one it
-returns: the exact one works on the n x n blocks, and the float one keeps
-the full-size products above, because summing in the blockwise order
-changes the last bits of A and B on most random draws.
+floating quadruple is the rounded exact one.  Each builder
+(``build_state_space``, ``to_quadrature``, ``with_lossless_modes`` and
+``random_params``) writes its formula once and applies it to complex
+arrays or to numpy object arrays of GaussianRational; the input only
+chooses the arrays and how the result is stored.
 """
 
 from __future__ import annotations
@@ -48,10 +46,9 @@ from .linalg import (
     frozen_eigvals,
     is_doubled_up,
     sharp_adjoint,
-    signature_j,
     symplectic_j,
 )
-from .rational import GaussianRational
+from .rational import GR_ONE, GR_ZERO, GaussianRational
 from .spectra import format_complex
 
 __all__ = [
@@ -288,50 +285,46 @@ def build_state_space(params: QSystemParams) -> StateSpace:
     """Construct the annihilation-representation quadruple from physical
     parameters; realizability identities hold by construction.
 
-    Float parameters are built in numpy by the formulas of the module
-    docstring, exact ones block by block: C^b = doubled_up(C_-^H, -C_+^T),
-    so B = doubled_up(-C_-^H, C_+^T), and the upper block row of A is
-    -i [Omega_-, Omega_+] - (1/2) [C_-^H, -C_+^T] C.  Only the branch that
-    is returned is computed.
+    One blockwise formula serves float and exact parameters, run on
+    complex arrays or on numpy object arrays of GaussianRational.  With
+    C^b = doubled_up(C_-^H, -C_+^T): C = doubled_up(C_-, C_+), D = I,
+    B = -C^b = doubled_up(-C_-^H, C_+^T), and A is doubled up from its
+    upper block row -i [Omega_-, Omega_+] - (1/2) [C_-^H, -C_+^T] C, so a
+    float A is doubled up bit for bit.  Exact parameters only choose the
+    input arrays and the output: the exact matrices as lists, with their
+    rounded float copies.  A float A that overflows, or an exact entry
+    beyond the float range, raises NumericalError.
     """
     n, m = params.n, params.m
-    if not params.is_exact:
-        omega = doubled_up(params.omega_minus, params.omega_plus)
-        c = doubled_up(params.c_minus, params.c_plus)
-        d = np.eye(2 * m, dtype=complex)
-        cflat = flat_adjoint(c)
-        b = -cflat @ d
-        a = -1j * signature_j(n) @ omega - 0.5 * cflat @ c
-        if not np.isfinite(a).all():
-            raise NumericalError("A overflows: the parameters are too large")
-        return StateSpace(A=a, B=b, C=c, D=d, representation="annihilation")
-    ex = params.exact
-    # C_-^H and C_+^T are read by column index: an exact matrix with no
-    # rows (m = 0) keeps no column count, and then C^b C = 0
-    cm_h = [[row[j].conjugate() for row in ex["c_minus"]] for j in range(n)]
-    cp_t = [[row[j] for row in ex["c_plus"]] for j in range(n)]
-    c_x = xl.doubled_up_exact(ex["c_minus"], ex["c_plus"])
-    if n and m:
-        flat_c = xl.mat_mul([h + [-x for x in t] for h, t in zip(cm_h, cp_t)], c_x)
-    else:
-        flat_c = xl.mat_zeros(n, 2 * n)
-    omega = (w1 + w2 for w1, w2 in zip(ex["omega_minus"], ex["omega_plus"]))
-    minus_i, half = GaussianRational(0, -1), GaussianRational(Fraction(1, 2))
-    a_up = [
-        [minus_i * w - half * f for w, f in zip(rw, rf)]
-        for rw, rf in zip(omega, flat_c)
-    ]
-    exact = {
-        "A": xl.doubled_up_exact([r[:n] for r in a_up], [r[n:] for r in a_up]),
-        "B": xl.doubled_up_exact([[-x for x in r] for r in cm_h], cp_t),
-        "C": c_x,
-        "D": xl.mat_eye(2 * m),
+    keys = ("omega_minus", "omega_plus", "c_minus", "c_plus")
+    om, op, cm, cp = blocks = [getattr(params, k) for k in keys]
+    # scalars in the entries' own type: np.eye would put int 0 into an
+    # object array, and -1j would be converted on every exact entry
+    one, zero, minus_i = 1 + 0j, 0j, -1j
+    if params.is_exact:
+        # an exact list stores a 0 x n block as [], so the float copy gives the shape
+        om, op, cm, cp = (np.array(params.exact[k], dtype=object).reshape(x.shape)
+                          for k, x in zip(keys, blocks))
+        one, zero, minus_i = GR_ONE, GR_ZERO, GaussianRational(0, -1)
+    cm_h, cp_t = cm.conj().T, cp.T
+    c = doubled_up(cm, cp)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        upper = np.hstack([om, op]) * minus_i - (np.hstack([cm_h, -cp_t]) @ c) / 2
+    if not params.is_exact and not np.isfinite(upper).all():
+        raise NumericalError("A overflows: the parameters are too large")
+    mats = {
+        "A": doubled_up(upper[:, :n], upper[:, n:]),
+        "B": doubled_up(-cm_h, cp_t),
+        "C": c,
+        "D": np.where(np.eye(2 * m, dtype=bool), one, zero),
     }
-    shapes = {"A": (2 * n, 2 * n), "B": (2 * n, 2 * m), "C": (2 * m, 2 * n), "D": (2 * m, 2 * m)}
-    return StateSpace(
-        **{k: xl.to_numpy(v).reshape(shapes[k]) for k, v in exact.items()},
-        representation="annihilation", exact=exact,
-    )
+    if params.is_exact:
+        exact = {k: x.tolist() for k, x in mats.items()}
+        return StateSpace(
+            **{k: xl.to_numpy(exact[k]).reshape(x.shape) for k, x in mats.items()},
+            representation="annihilation", exact=exact,
+        )
+    return StateSpace(**mats, representation="annihilation")
 
 
 @dataclass(frozen=True)

@@ -95,11 +95,12 @@ def normalrank(ss: StateSpace, tol=1e-9):
 
 def _schur_spectrum(ss: StateSpace):
     """eig(A - B D^-1 C) as a read-only array, computed once per system;
-    None when D is empty or singular."""
+    None when D is singular.  An empty D (no fields) is invertible, with
+    det D = 1, and then A - B D^-1 C = A."""
 
     def compute():
         d = ss.D.astype(complex)
-        if not d.size or svd_rank(d, 1e-10, floor=1, vectors=False)[0] < len(d):
+        if svd_rank(d, 1e-10, floor=1, vectors=False)[0] < len(d):
             return None
         with np.errstate(over="ignore", invalid="ignore"):  # frozen_eigvals refuses inf, nan
             schur = ss.A.astype(complex) - ss.B.astype(complex) @ np.linalg.solve(
@@ -143,10 +144,6 @@ def invariant_zeros_pencil(ss: StateSpace, tol=1e-9) -> SpectrumReport:
     # the QZ branch confirms eigenvalues by a rank sweep at tol, so it is
     # not memoized
     pencil = RosenbrockPencil.from_state_space(ss)
-    if pencil.size == 0:
-        return SpectrumReport.from_values(
-            [], tol=tol, method="pencil", notes=("singular-feedthrough",)
-        )
     import scipy.linalg  # here so that import lqsys does not load scipy
 
     # homogeneous pairs (alpha, beta): a non-finite one means QZ overflowed,

@@ -262,6 +262,11 @@ class TestMatMul:
         assert xl.mat_mul(a, b) == ref
 
 
+def test_empty_determinants_are_one():
+    assert xl.det_exact([]) == 1
+    assert xl.pencil_det([], []) == Poly([GR_ONE])
+
+
 def square_matrices(max_n=6):
     return st.integers(0, max_n).flatmap(
         lambda n: st.lists(st.lists(gaussians, min_size=n, max_size=n), min_size=n, max_size=n)

@@ -55,6 +55,20 @@ class TestDecomposition:
             assert multiset_match(union, np.linalg.eigvals(ss.A), 1e-8) is not None
 
 
+    @pytest.mark.parametrize("representation", ["annihilation", "quadrature"])
+    def test_no_fields_or_no_states(self, representation):
+        """With no fields every mode is uncontrollable and unobservable;
+        with no states all four blocks are empty and only D remains."""
+        rotation = [[0.0, 1.0], [-1.0, 0.0]]
+        kal = kalman_decompose(StateSpace.from_matrices(rotation, [[], []], [], [], representation))
+        assert kal.block_dims == (0, 0, 2, 0)
+        assert kal.minimal.A.shape == (0, 0) and kal.minimal.D.shape == (0, 0)
+        kal = kalman_decompose(StateSpace.from_matrices([], [], [], np.eye(2), representation))
+        assert kal.block_dims == (0, 0, 0, 0)
+        assert kal.minimal.B.shape == (0, 2) and kal.minimal.C.shape == (2, 0)
+        assert np.array_equal(kal.minimal.D, np.eye(2))
+
+
 class TestSubspaceTolerance:
     def test_ambiguous_intersection_raises(self):
         from lqsys import SubspaceToleranceError

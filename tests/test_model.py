@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqsys import (
     DimensionError,
@@ -32,6 +34,16 @@ def quadrature_unitary(k):
     """V_k = (1/sqrt 2) [[I, I], [-iI, iI]]."""
     i = np.eye(k)
     return np.block([[i, i], [-1j * i, 1j * i]]) / np.sqrt(2)
+
+
+def _lower_is_conjugate_upper(x):
+    """The lower block row of x is the conjugate of the upper one: exactly
+    for an object array, bit for bit (signs of zeros included) for floats."""
+    k, r = x.shape[0] // 2, x.shape[1] // 2
+    lower = np.hstack([x[:k, r:].conj(), x[:k, :r].conj()])
+    if x.dtype == object:
+        return bool((x[k:] == lower).all())
+    return x[k:].tobytes() == lower.tobytes()
 
 
 class TestBuildStateSpace:
@@ -71,6 +83,18 @@ class TestBuildStateSpace:
 
     def test_float_params_are_floating(self, cavity):
         assert not cavity.is_exact
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(0, 3), st.booleans(),
+           st.booleans())
+    def test_doubled_up_exactly(self, seed, n, m, passive, exact):
+        ss = build_state_space(random_params(seed, n, m, passive, exact))
+        assert ss.is_exact == exact
+        for k in "ABC":
+            x = getattr(ss, k)
+            if exact:
+                x = np.array(ss.exact[k], dtype=object).reshape(x.shape)
+            assert _lower_is_conjugate_upper(x), k
 
 
 class TestExactInputCheckedExactly:

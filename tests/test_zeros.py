@@ -348,6 +348,19 @@ class TestNumericDetIdentity:
         assert not rep.ok and rep.mode == "numeric"
         assert rep.det_pencil == () and rep.unit == 0
 
+    def test_no_fields_is_an_invertible_empty_d(self):
+        """With no fields D is empty, with det D = 1, and the Schur
+        complement is A: the float rule reads what the exact one reads, and
+        the pencil zeros are the eigenvalues of A without a QZ fallback."""
+        for rows in ([[0, 1], [-1, 0]], [[0.0, 1.0], [-1.0, 0.0]]):
+            ss = StateSpace.from_matrices(rows, [[], []], [], [])
+            rep = verify_det_identity(ss)
+            assert rep.ok and rep.unit == 1
+            assert rep.mode == ("exact" if ss.is_exact else "numeric")
+            zeros = invariant_zeros_pencil(ss)
+            assert not zeros.notes
+            assert sorted(v.imag for v in zeros.expand()) == pytest.approx([-1, 1])
+
 
 class TestNormalRank:
     def test_always_full_for_quantum(self):
