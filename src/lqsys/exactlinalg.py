@@ -1,28 +1,30 @@
-"""Dense exact matrices over Q(i) as lists of lists of GaussianRational.
+"""Dense exact matrices over Q(i) as 2-D numpy object arrays of
+GaussianRational.
 
-Lists are the storage of exact matrices (``StateSpace.exact``) and the
-input of the integer kernels; the model builders write their formulas
-once on numpy object arrays of GaussianRational instead (see
-``model.build_state_space``), so no structure helper is kept here.  What
+This is the one form of an exact matrix, from ingestion to storage
+(``QSystemParams.exact``, ``StateSpace.exact``) and the builders'
+formulas, and every exact matrix returned here is one; an array keeps a
+0 x k shape.  Lists appear only inside the integer kernels.  What
 remains: ingestion (``exact_matrix``, and ``to_numpy`` for the rounded
 float copy, which refuses an entry beyond the float range) and ``shape``;
 the integer kernels ``det_exact``, ``charpoly`` and ``pencil_det``, which
-scale each matrix once to Gaussian integers over one common denominator
-(``to_scaled``), run on Python ints and normalize each result once
-(Bareiss elimination; Faddeev-LeVerrier over one running denominator;
-Newton interpolation through integer falling factorials; sizes are a
-handful of modes); and the scaled product ``scaled_mul`` that the exact
-transfer matrix and the exact det identity share.  ``mat_mul``,
-``det_exact`` and ``pencil_det`` have no library caller: the tests use
-them as independent references, and the det identity takes det P(s) from
-the Schur complement.  ``pencil_det``, ``mat_block`` and ``mat_zeros``
-also serve the benchmark's traced probe.  An empty matrix needs no
-special case: its determinant, and the determinant of an empty pencil,
-come out as 1.
+read each matrix once into Gaussian-integer lists over one common
+denominator (``to_scaled``; a list of rows is read too), run on Python
+ints and normalize each result once (Bareiss elimination;
+Faddeev-LeVerrier over one running denominator; Newton interpolation
+through integer falling factorials; sizes are a handful of modes); and the
+scaled product ``scaled_mul`` that the exact transfer matrix and the exact
+det identity share.  ``mat_mul``, ``det_exact`` and ``pencil_det`` have no
+library caller: the tests use them as independent references, and the det
+identity takes det P(s) from the Schur complement.  ``pencil_det``,
+``mat_block`` and ``mat_zeros`` also serve the benchmark's traced probe.
+An empty matrix needs no special case: its determinant, and the
+determinant of an empty pencil, come out as 1.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import factorial, gcd, lcm
 
 import numpy as np
@@ -46,39 +48,43 @@ __all__ = [
 ]
 
 
+def _array(rows):
+    """Equal rows as a 2-D object array (``fromiter`` is faster than np.array)."""
+    r, c = len(rows), (len(rows[0]) if rows else 0)
+    return np.fromiter(chain.from_iterable(rows), dtype=object, count=r * c).reshape(r, c)
+
+
 def exact_matrix(rows):
-    """Coerce nested iterables to a list-of-lists of GaussianRational."""
+    """Coerce nested iterables to a 2-D object array of GaussianRational."""
     out = [[GaussianRational.of(x) for x in row] for row in rows]
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionError("ragged rows in exact matrix")
-    return out
+    return _array(out)
 
 
 def to_numpy(m):
-    """The rounded float copy of an exact matrix; an entry beyond the
-    float range raises NumericalError."""
-    r, c = shape(m)
-    out = np.zeros((r, c), dtype=complex)
+    """The complex copy of a matrix, rounded for an exact one; an entry
+    beyond the float range raises NumericalError."""
     try:
-        for i in range(r):
-            for j in range(c):
-                out[i, j] = complex(m[i][j])
+        return m.astype(complex)
     except OverflowError as e:
         raise NumericalError(f"exact entry too large for a float copy: {e}") from e
-    return out
 
 
 def shape(m):
+    if isinstance(m, np.ndarray):
+        return m.shape
     return len(m), (len(m[0]) if m else 0)
 
 
 def mat_zeros(r, c):
-    return [[GR_ZERO for _ in range(c)] for _ in range(r)]
+    return np.full((r, c), GR_ZERO, dtype=object)
 
 
 def to_scaled(a):
-    """(xs, ys, q): int matrices with xs + ys*i = q*a, q the least common
-    denominator of the entries of a.  ``from_scaled`` inverts it."""
+    """(xs, ys, q): int lists of rows with xs + ys*i = q*a, q the least
+    common denominator of the entries of a.  ``from_scaled`` inverts it."""
+    a = np.asarray(a, dtype=object).tolist()
     q = lcm(*[x._q for row in a for x in row])
     xs = [[x._x * (q // x._q) for x in row] for row in a]
     ys = [[x._y * (q // x._q) for x in row] for row in a]
@@ -87,7 +93,7 @@ def to_scaled(a):
 
 def from_scaled(xs, ys, q):
     """The exact matrix (xs + ys*i)/q, one gcd per entry."""
-    return [[_gr(x, y, q) for x, y in zip(rx, ry)] for rx, ry in zip(xs, ys)]
+    return _array([[_gr(x, y, q) for x, y in zip(rx, ry)] for rx, ry in zip(xs, ys)])
 
 
 def scaled_mul(a, b):
@@ -126,12 +132,7 @@ def mat_mul(a, b):
 
 def mat_block(blocks):
     """Assemble from a 2-D grid of exact matrices."""
-    rows = []
-    for brow in blocks:
-        height = shape(brow[0])[0]
-        for i in range(height):
-            rows.append([x for blk in brow for x in blk[i]])
-    return rows
+    return np.block(blocks)
 
 
 def _bareiss(mx, my):

@@ -20,7 +20,8 @@ floating quadruple is the rounded exact one.  Each builder
 (``build_state_space``, ``to_quadrature``, ``with_lossless_modes`` and
 ``random_params``) writes its formula once and applies it to complex
 arrays or to numpy object arrays of GaussianRational; the input only
-chooses the arrays and how the result is stored.
+chooses the arrays.  The exact results are stored as they are computed,
+shaped like their rounded float copies even with no entries.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ _EXACT_SCALARS = (int, Fraction, GaussianRational, str)
 
 
 def _ingest(mat, what):
-    """Return (complex ndarray, exact nested list or None) for a matrix
+    """Return (complex ndarray, exact object array or None) for a matrix
     whose entries may be exact scalars or floats/complex."""
     if isinstance(mat, np.ndarray):
         rows = mat.tolist()
@@ -95,11 +96,11 @@ def _ingest(mat, what):
 def _implied(arr, ex, shape):
     """An ingested block (arr, ex) that has no entries takes the implied
     ``shape`` when that has no entries either: a JSON row list writes a
-    0 x k matrix as [], which reads as 0 x 0.  Any other block is returned
-    as it is, for the caller's shape check."""
-    if arr.size or shape[0] * shape[1] or arr.shape == shape:
+    0 x k matrix as [], which reads as 0 x 0 (and as exact).  Any other
+    block is returned as it is, for the caller's shape check."""
+    if arr.size or shape[0] * shape[1]:
         return arr, ex
-    return np.zeros(shape, dtype=complex), [[] for _ in range(shape[0])]
+    return arr.reshape(shape), ex.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -146,9 +147,8 @@ class QSystemParams:
                 "c_minus": cm_x,
                 "c_plus": cp_x,
             }
-            pairs = [(i, j) for i in range(n) for j in range(i + 1)]
-            hermitian = all(om_x[i][j] == om_x[j][i].conjugate() for i, j in pairs)
-            symmetric = all(op_x[i][j] == op_x[j][i] for i, j in pairs)
+            hermitian = (om_x == om_x.conj().T).all()
+            symmetric = (op_x == op_x.T).all()
         else:
             scale = max(1.0, frobenius(om), frobenius(op))
             hermitian = frobenius(om - om.conj().T) <= 1e-12 * scale
@@ -182,12 +182,12 @@ class StateSpace:
     doubled structure rather than here.  ``exact`` carries GaussianRational
     copies of the four matrices when the model was built from exact inputs.
 
-    The four arrays are private read-only copies: the caller's arrays stay
-    untouched, and writing into ``A``, ``B``, ``C`` or ``D`` raises
-    ValueError.  Because the matrices cannot change, results derived from
-    them (the eigenvalues of A, the Kalman decomposition at each
-    tolerance) are computed once and memoized on the object, and live and
-    die with it.
+    The four arrays, and the exact ones, are private read-only copies: the
+    caller's arrays stay untouched, and writing into ``A``, ``B``, ``C``,
+    ``D`` or an array of ``exact`` raises ValueError.  Because the matrices
+    cannot change, results derived from them (the eigenvalues of A, the
+    Kalman decomposition at each tolerance) are computed once and memoized
+    on the object, and live and die with it.
     """
 
     A: np.ndarray
@@ -200,9 +200,12 @@ class StateSpace:
 
     def __post_init__(self):
         for name in ("A", "B", "C", "D"):
-            arr = np.array(getattr(self, name))
+            object.__setattr__(self, name, np.array(getattr(self, name)))
+        if self.exact is not None:
+            exact = {k: np.array(x, dtype=object) for k, x in self.exact.items()}
+            object.__setattr__(self, "exact", exact)
+        for arr in (self.A, self.B, self.C, self.D, *(self.exact or {}).values()):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_matrices(cls, A, B, C, D, representation="annihilation"):
@@ -291,20 +294,18 @@ def build_state_space(params: QSystemParams) -> StateSpace:
     B = -C^b = doubled_up(-C_-^H, C_+^T), and A is doubled up from its
     upper block row -i [Omega_-, Omega_+] - (1/2) [C_-^H, -C_+^T] C, so a
     float A is doubled up bit for bit.  Exact parameters only choose the
-    input arrays and the output: the exact matrices as lists, with their
-    rounded float copies.  A float A that overflows, or an exact entry
-    beyond the float range, raises NumericalError.
+    input arrays and the output: the exact matrices, with their rounded
+    float copies.  A float A that overflows, or an exact entry beyond the
+    float range, raises NumericalError.
     """
     n, m = params.n, params.m
     keys = ("omega_minus", "omega_plus", "c_minus", "c_plus")
-    om, op, cm, cp = blocks = [getattr(params, k) for k in keys]
+    om, op, cm, cp = (getattr(params, k) for k in keys)
     # scalars in the entries' own type: np.eye would put int 0 into an
     # object array, and -1j would be converted on every exact entry
     one, zero, minus_i = 1 + 0j, 0j, -1j
     if params.is_exact:
-        # an exact list stores a 0 x n block as [], so the float copy gives the shape
-        om, op, cm, cp = (np.array(params.exact[k], dtype=object).reshape(x.shape)
-                          for k, x in zip(keys, blocks))
+        om, op, cm, cp = (params.exact[k] for k in keys)
         one, zero, minus_i = GR_ONE, GR_ZERO, GaussianRational(0, -1)
     cm_h, cp_t = cm.conj().T, cp.T
     c = doubled_up(cm, cp)
@@ -318,13 +319,10 @@ def build_state_space(params: QSystemParams) -> StateSpace:
         "C": c,
         "D": np.where(np.eye(2 * m, dtype=bool), one, zero),
     }
-    if params.is_exact:
-        exact = {k: x.tolist() for k, x in mats.items()}
-        return StateSpace(
-            **{k: xl.to_numpy(exact[k]).reshape(x.shape) for k, x in mats.items()},
-            representation="annihilation", exact=exact,
-        )
-    return StateSpace(**mats, representation="annihilation")
+    return StateSpace(
+        **{k: xl.to_numpy(x) for k, x in mats.items()},
+        representation="annihilation", exact=mats if params.is_exact else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -401,17 +399,16 @@ def to_quadrature(ss: StateSpace) -> StateSpace:
 
     with Re z = (z + conj z)/2 and Im z = (z - conj z)/2i, which are exact
     on complex floats and on GaussianRational alike.  An exact system is
-    converted on its exact matrices, as numpy object arrays, and stays
-    exact.  The formula reads only the upper block row, so the input is
-    checked first: an odd-sized matrix raises DimensionError, and one that
-    is not doubled up (relative tolerance 1e-10 for floats, exactly for
-    exact input) raises NumericalError.
+    converted on its exact matrices and stays exact; an exact result
+    beyond the float range raises NumericalError.  The formula reads only
+    the upper block row, so the input is checked first: an odd-sized
+    matrix raises DimensionError, and one that is not doubled up (relative
+    tolerance 1e-10 for floats, exactly for exact input) raises
+    NumericalError.
     """
     if ss.representation != "annihilation":
         raise ParameterError("to_quadrature expects an annihilation system")
-    mats = {"A": ss.A, "B": ss.B, "C": ss.C, "D": ss.D}
-    if ss.is_exact:
-        mats = {k: np.array(v, dtype=object) for k, v in ss.exact.items()}
+    mats = ss.exact if ss.is_exact else {"A": ss.A, "B": ss.B, "C": ss.C, "D": ss.D}
     for name, x in mats.items():
         if not is_doubled_up(x, 1e-10):
             raise NumericalError(
@@ -420,9 +417,9 @@ def to_quadrature(ss: StateSpace) -> StateSpace:
             )
     quad = {k: _quadrature_blocks(x) for k, x in mats.items()}
     return StateSpace(
-        **{k: x.astype(complex).real for k, x in quad.items()},
+        **{k: xl.to_numpy(x).real for k, x in quad.items()},
         representation="quadrature",
-        exact={k: x.tolist() for k, x in quad.items()} if ss.is_exact else None,
+        exact=quad if ss.is_exact else None,
     )
 
 
@@ -570,8 +567,8 @@ def with_lossless_modes(params: QSystemParams, freqs) -> QSystemParams:
     The new modes get diagonal entries in omega_minus and zero columns in
     both coupling blocks, so they are uncontrollable and unobservable with
     purely imaginary eigenvalues +-i*freq.  Exact parameters with exact
-    frequencies give exact parameters, built on the exact blocks as numpy
-    object arrays; a float frequency gives float parameters.  A frequency
+    frequencies give exact parameters, built on the exact blocks; a float
+    frequency gives float parameters.  A frequency
     with an imaginary part raises ParameterError.
     """
     freqs = list(freqs)
@@ -579,7 +576,7 @@ def with_lossless_modes(params: QSystemParams, freqs) -> QSystemParams:
     n, m = params.n, params.m
     keys = ("omega_minus", "omega_plus", "c_minus", "c_plus")
     if params.is_exact and all(isinstance(f, _EXACT_SCALARS) for f in freqs):
-        om, op, cm, cp = (np.array(params.exact[key], dtype=object) for key in keys)
+        om, op, cm, cp = (params.exact[key] for key in keys)
         freqs = [GaussianRational.of(f) for f in freqs]
     else:
         om, op, cm, cp = (getattr(params, key) for key in keys)

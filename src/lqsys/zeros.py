@@ -383,10 +383,7 @@ def verify_det_identity(ss: StateSpace, tol=1e-9) -> DetIdentityReport:
             schur = a
             if terms:
                 bmc = xl.scaled_mul(xl.scaled_mul(xl.to_scaled(b), terms[-1]), xl.to_scaled(c))
-                schur = [
-                    [x + y / p.coeffs[0] for x, y in zip(ra, rb)]
-                    for ra, rb in zip(a, xl.from_scaled(*bmc))
-                ]
+                schur = a + xl.from_scaled(*bmc) / p.coeffs[0]
             lmon = xl.charpoly(schur)[0]
         # charpoly(-A) = det(sI + A) = (-1)^ns charpoly(A)(-s)
         right = xl.charpoly(a)[0].compose_neg() * (-1) ** ns

@@ -259,7 +259,7 @@ class TestMatMul:
             for j in range(c):
                 for t in range(k):
                     ref[i][j] = ref[i][j] + a[i][t] * b[t][j]
-        assert xl.mat_mul(a, b) == ref
+        assert xl.mat_mul(a, b).tolist() == ref
 
 
 def test_empty_determinants_are_one():
@@ -353,7 +353,7 @@ class TestAdjugateExpansion:
             adj = [[x + sk * y for x, y in zip(r0, r1)] for r0, r1 in zip(adj, mk)]
         shifted = [[(s if i == j else GR_ZERO) - a[i][j] for j in range(n)] for i in range(n)]
         ps = p(s)
-        assert xl.mat_mul(shifted, adj) == [
+        assert xl.mat_mul(shifted, adj).tolist() == [
             [ps if i == j else GR_ZERO for j in range(n)] for i in range(n)
         ]
 

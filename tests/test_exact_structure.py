@@ -96,7 +96,7 @@ class TestExactBuild:
         a, b, c, d = (ex[k] for k in "ABCD")
         assert is_zero(add(add(a, flat(a)), mul(flat(c), c)))
         assert is_zero(add(b, mul(flat(c), d)))
-        assert d == np.eye(2 * params.m, dtype=int).tolist()
+        assert d.tolist() == np.eye(2 * params.m, dtype=int).tolist()
 
     @SETTINGS
     @given(exact_params())
@@ -161,9 +161,9 @@ class TestExactDetIdentity:
         assert rep.mode == "exact"
         assert rep.det_pencil == tuple(complex(x) for x in pdet.coeffs)
         assert rep.unit == complex(pdet.leading())
-        a = np.array(ss.exact["A"], dtype=object).reshape(ss.A.shape)
+        a = ss.exact["A"]
         at = a.conj().T if ss.representation == "annihilation" else a.T
-        right, _ = xl.charpoly((-at).tolist())
+        right, _ = xl.charpoly(-at)
         assert rep.ok == (pdet.monic() == right)
 
     def test_no_pencil_sampling(self, monkeypatch):

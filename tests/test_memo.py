@@ -65,6 +65,14 @@ class TestReadOnly:
             with pytest.raises(ValueError):
                 getattr(cavity, name)[0, 0] = 7.0
 
+    def test_exact_matrices_cannot_be_written(self):
+        ss = build_state_space(random_params(3, 1, 1, exact=True))
+        copy = fresh_copy(ss)
+        for name in NAMES:
+            assert copy.exact[name] is not ss.exact[name]
+            with pytest.raises(ValueError):
+                ss.exact[name][0, 0] = 7
+
     def test_caller_arrays_stay_writable_and_are_not_shared(self):
         a = np.array([[-1.0 + 1j]])
         b, c, d = np.array([[1.0]]), np.array([[-1.0]]), np.array([[1.0]])

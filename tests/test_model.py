@@ -91,9 +91,7 @@ class TestBuildStateSpace:
         ss = build_state_space(random_params(seed, n, m, passive, exact))
         assert ss.is_exact == exact
         for k in "ABC":
-            x = getattr(ss, k)
-            if exact:
-                x = np.array(ss.exact[k], dtype=object).reshape(x.shape)
+            x = ss.exact[k] if exact else getattr(ss, k)
             assert _lower_is_conjugate_upper(x), k
 
 
@@ -154,7 +152,7 @@ class TestExactInputCheckedExactly:
         a = [[u, v], [v.conjugate(), u.conjugate()]]
         eye = [[1, 0], [0, 1]]
         q = to_quadrature(StateSpace.from_matrices(a, eye, eye, eye))
-        assert q.exact["A"] == [
+        assert q.exact["A"].tolist() == [
             [u.re + v.re, -(u.im - v.im)],
             [u.im + v.im, u.re - v.re],
         ]
@@ -269,6 +267,38 @@ class TestQuadrature:
             assert got.dtype == np.float64
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), name
 
+    @pytest.mark.parametrize("n, m, exact", [(0, 2, True), (2, 0, True), (0, 0, True),
+                                             (0, 2, False), (None, 1, True)])
+    def test_no_states_or_no_fields(self, n, m, exact):
+        """Systems with n = 0 or m = 0 convert with their implied shapes;
+        n = None is the static spec A = [], B = [], C = [[], []], D = I."""
+        if n is None:
+            n, ss = 0, StateSpace.from_matrices([], [], [[], []], [[1, 0], [0, 1]])
+        else:
+            ss = build_state_space(random_params(7, n, m, exact=exact))
+        q = to_quadrature(ss)
+        assert q.representation == "quadrature"
+        assert q.is_exact and ss.is_exact  # a float draw with no entries is exact
+        vn, vm = quadrature_unitary(n), quadrature_unitary(m)
+        refs = {
+            "A": vn @ ss.A @ vn.conj().T,
+            "B": vn @ ss.B @ vm.conj().T,
+            "C": vm @ ss.C @ vn.conj().T,
+            "D": vm @ ss.D @ vm.conj().T,
+        }
+        for name, ref in refs.items():
+            got = getattr(q, name)
+            assert got.shape == q.exact[name].shape == ss.exact[name].shape, name
+            assert np.array_equal(got, xl.to_numpy(q.exact[name]).real), name
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), name
+        assert (q.exact["D"] == np.eye(2 * m, dtype=int)).all()
+
+    def test_exact_entry_beyond_the_float_range_raises_numerical_error(self):
+        big, eye = 10**308, [[1, 0], [0, 1]]
+        ss = StateSpace.from_matrices([[big, big], [big, big]], eye, eye, eye)
+        with pytest.raises(NumericalError):
+            to_quadrature(ss)  # Re(U + W) = 2e308 has no float copy
+
     def test_odd_dimension_raises_dimension_error(self):
         one = [[1]]
         ss = StateSpace.from_matrices(one, one, one, one)
@@ -361,12 +391,12 @@ class TestGenerators:
         ext = with_lossless_modes(base, [2, "1/2", GaussianRational(3)])
         assert ext.is_exact
         w = base.exact["omega_minus"][0][0]
-        assert ext.exact["omega_minus"] == xl.exact_matrix(
+        assert ext.exact["omega_minus"].tolist() == xl.exact_matrix(
             [[w, 0, 0, 0], [0, 2, 0, 0], [0, 0, "1/2", 0], [0, 0, 0, 3]]
-        )
-        assert ext.exact["c_minus"] == xl.exact_matrix(
-            [base.exact["c_minus"][0] + [0, 0, 0]]
-        )
+        ).tolist()
+        assert ext.exact["c_minus"].tolist() == xl.exact_matrix(
+            [base.exact["c_minus"][0].tolist() + [0, 0, 0]]
+        ).tolist()
 
     def test_lossless_extension_float_frequency_gives_float(self):
         base = random_params(3, 1, 1, passive=True, exact=True)
@@ -374,6 +404,23 @@ class TestGenerators:
         assert not ext.is_exact
         assert np.allclose(np.diag(ext.omega_minus)[1:], [2, 1.5])
         assert np.allclose(ext.omega_minus[0, 0], base.omega_minus[0, 0])
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_lossless_extension_of_empty_blocks(self, n, m, exact):
+        base = random_params(5, n, m, exact=exact)
+        freq = 2 if exact else 1.5
+        ext = with_lossless_modes(base, [freq])
+        assert (ext.n, ext.m, ext.is_exact) == (n + 1, m, exact)
+        assert ext.omega_minus[n, n] == freq and not ext.omega_plus[n].any()
+        assert ext.c_minus.shape == ext.c_plus.shape == (m, n + 1)
+        assert not ext.c_minus[:, n].any() and not ext.c_plus[:, n].any()
+        assert np.array_equal(ext.c_minus[:, :n], base.c_minus)
+        if exact:
+            assert ext.exact["c_minus"].shape == (m, n + 1)
+        eigs = np.linalg.eigvals(build_state_space(ext).A)
+        assert min(abs(eigs - 1j * freq)) < 1e-9 and min(abs(eigs + 1j * freq)) < 1e-9
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("freq", [2 + 1j, GaussianRational(2, 1)])
