@@ -99,7 +99,9 @@ def from_scaled(xs, ys, q):
 def scaled_mul(a, b):
     """Product of two scaled matrices (xs, ys, q), as one: an integer
     triple loop over the Gaussian-integer parts, the denominators
-    multiplied, nothing normalized."""
+    multiplied, nothing normalized.  Lists of rows cannot carry the
+    column count of a matrix without rows, so a factor with an empty
+    dimension is ``mat_mul``'s to handle."""
     ax, ay, qa = a
     bx, by, qb = b
     cols = [list(zip(cx, cy)) for cx, cy in zip(zip(*bx), zip(*by))]
@@ -127,6 +129,8 @@ def mat_mul(a, b):
     rb, cb = shape(b)
     if ca != rb:
         raise DimensionError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
+    if not (ra and ca and cb):  # an empty sum or an empty result
+        return mat_zeros(ra, cb)
     return from_scaled(*scaled_mul(to_scaled(a), to_scaled(b)))
 
 

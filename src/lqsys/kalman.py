@@ -42,12 +42,15 @@ __all__ = [
 
 
 def _krylov(a, b):
+    """[b, ab, ..., a^(ns-1) b]; FloatingPointError when a power overflows."""
     blocks = [b]
-    cur = b
-    for _ in range(a.shape[0] - 1):
-        cur = a @ cur
-        blocks.append(cur)
-    return np.hstack(blocks) if blocks else b
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        for _ in range(a.shape[0] - 1):
+            blocks.append(a @ blocks[-1])
+    krylov = np.hstack(blocks)
+    if not np.isfinite(krylov).all():
+        raise FloatingPointError("the Krylov matrix overflows")
+    return krylov
 
 
 def _intersect(q1, q2, tol):
@@ -131,7 +134,8 @@ def kalman_decompose(ss: StateSpace, tol=1e-9) -> KalmanReport:
     checks of one system share one decomposition; its arrays are
     read-only.  A SubspaceToleranceError is not memoized and is raised
     again on every call; so is the NumericalError raised when an SVD or
-    solve does not converge, as on entries near the float range's end.
+    solve does not converge or the Krylov matrix overflows, as on entries
+    near the float range's end.
     """
     return ss.memoized(("kalman", tol), lambda: _decompose_checked(ss, tol))
 
@@ -139,7 +143,7 @@ def kalman_decompose(ss: StateSpace, tol=1e-9) -> KalmanReport:
 def _decompose_checked(ss, tol):
     try:
         return _decompose(ss, tol)
-    except np.linalg.LinAlgError as e:
+    except (np.linalg.LinAlgError, FloatingPointError) as e:
         raise NumericalError(
             f"Kalman decomposition failed (state dim {ss.state_dim}, "
             f"largest |A| entry {np.abs(ss.A).max():.3g}): {e}"

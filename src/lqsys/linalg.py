@@ -18,6 +18,10 @@ matters.  Floor 1 decides whether D, G(s0) or P(s0) is singular: their
 entries have a unit scale (D is unitary for a quantum system), so
 singular values that are all below tol count as zero.
 
+``svd_rank`` completes only the factor its caller reads: ``range_basis``
+reads the economy u, whose min(r, c) columns span the column space, and
+``null_space_basis`` a complete c x c vh, economy unless m is wide.
+
 Everything here is a pure function of its arguments.
 """
 
@@ -145,8 +149,10 @@ def sharp_adjoint(x):
 
 
 def frobenius(x):
-    """Frobenius norm, 0.0 for empty matrices."""
-    return float(np.linalg.norm(x))
+    """Frobenius norm, 0.0 for empty matrices and inf when the sum of
+    squares leaves the float range."""
+    with np.errstate(over="ignore"):  # the inf is the answer
+        return float(np.linalg.norm(x))
 
 
 def frozen_eigvals(mat):
@@ -181,13 +187,17 @@ def eigenvalues(m, tol=1e-9):
 
 
 def svd_rank(m, tol, floor, vectors):
-    """(rank, u, sv, vh): the SVD of m and its rank, the number of singular
-    values above tol * max(floor, s1) (0 for an empty m); see the module
-    docstring for the two floors.  m is decomposed as given, so a real
-    array gives real factors.  With ``vectors`` this is the full SVD,
-    else the singular values alone, with u and vh None."""
+    """(rank, u, sv, vh): the SVD of the r x c array m and its rank, the
+    number of singular values above tol * max(floor, s1) (0 for an empty
+    m); see the module docstring for the two floors.  m is decomposed as
+    given, so a real array gives real factors.  ``vectors`` names the
+    factor the caller reads: "u" gives the economy SVD, u with min(r, c)
+    columns; "vh" gives a complete c x c vh, from the economy SVD when
+    r >= c and from the full SVD only when m is wide; False gives the
+    singular values alone, with u and vh None."""
     if vectors:
-        u, sv, vh = np.linalg.svd(m)
+        r, c = m.shape
+        u, sv, vh = np.linalg.svd(m, full_matrices=vectors == "vh" and r < c)
     else:
         u, sv, vh = None, np.linalg.svd(m, compute_uv=False), None
     rank = int(np.count_nonzero(sv > tol * max(floor, sv[0]))) if sv.size else 0
@@ -204,12 +214,12 @@ def rank_at_tolerance(m, tol=1e-9):
 def range_basis(m, tol):
     """Orthonormal basis (columns) of the numerical column space of the
     array m, real when m is."""
-    rank, u, _, _ = svd_rank(m, tol, floor=0, vectors=True)
+    rank, u, _, _ = svd_rank(m, tol, floor=0, vectors="u")
     return u[:, :rank]
 
 
 def null_space_basis(m, tol=1e-9):
     """Orthonormal basis (columns) of the numerical null space of the
     array m, real when m is."""
-    rank, _, _, vh = svd_rank(m, tol, floor=0, vectors=True)
+    rank, _, _, vh = svd_rank(m, tol, floor=0, vectors="vh")
     return vh[rank:].conj().T

@@ -186,8 +186,9 @@ class StateSpace:
     caller's arrays stay untouched, and writing into ``A``, ``B``, ``C``,
     ``D`` or an array of ``exact`` raises ValueError.  Because the matrices
     cannot change, results derived from them (the eigenvalues of A, the
-    Kalman decomposition at each tolerance) are computed once and memoized
-    on the object, and live and die with it.
+    realizability residuals, the Kalman decomposition at each tolerance,
+    and the Schur-complement and adjoint spectra of the zero computations)
+    are computed once and memoized on the object, and live and die with it.
     """
 
     A: np.ndarray
@@ -349,26 +350,33 @@ def check_physical_realizability(ss: StateSpace, tol=1e-10) -> RealizabilityRepo
 
     Annihilation: A + A^b + C^b C, B + C^b D, D^H D - I.
     Quadrature:   A + A^# + B B^#, B + C^# D, D^T D - I.
+
+    The residuals are computed once per system and memoized on ``ss``;
+    each call builds a fresh report, with its own residuals dict, at its
+    own ``tol``.
     """
+    residuals = ss.memoized("realizability", lambda: _realizability_residuals(ss))
+    return RealizabilityReport(
+        representation=ss.representation, residuals=dict(residuals), tol=tol
+    )
+
+
+def _realizability_residuals(ss):
     # residuals of huge entries overflow to inf or nan, which fail the check
     with np.errstate(over="ignore", invalid="ignore"):
         if ss.representation == "annihilation":
             cflat = flat_adjoint(ss.C)
-            residuals = {
+            return {
                 "drift": frobenius(ss.A + flat_adjoint(ss.A) + cflat @ ss.C),
                 "input": frobenius(ss.B + cflat @ ss.D),
                 "unitary_d": frobenius(ss.D.conj().T @ ss.D - np.eye(ss.field_dim)),
             }
-        else:
-            a, b, c, d = ss.real_matrices()
-            residuals = {
-                "drift": frobenius(a + sharp_adjoint(a) + b @ sharp_adjoint(b)),
-                "input": frobenius(b + sharp_adjoint(c) @ d),
-                "unitary_d": frobenius(d.T @ d - np.eye(ss.field_dim)),
-            }
-    return RealizabilityReport(
-        representation=ss.representation, residuals=residuals, tol=tol
-    )
+        a, b, c, d = ss.real_matrices()
+        return {
+            "drift": frobenius(a + sharp_adjoint(a) + b @ sharp_adjoint(b)),
+            "input": frobenius(b + sharp_adjoint(c) @ d),
+            "unitary_d": frobenius(d.T @ d - np.eye(ss.field_dim)),
+        }
 
 
 def require_physical_realizability(ss: StateSpace, purpose):

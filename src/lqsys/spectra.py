@@ -19,8 +19,16 @@ __all__ = ["SpectrumReport", "cluster_values", "multiset_match"]
 
 def _abs(z):
     """|z| elementwise, bit for bit equal to Python's abs(complex): both are
-    the C library's hypot, which np.abs on complex arrays is not."""
-    return np.hypot(z.real, z.imag)
+    the C library's hypot, which np.abs on complex arrays is not.  A modulus
+    beyond the float range is inf, where abs(complex) raises."""
+    with np.errstate(over="ignore"):
+        return np.hypot(z.real, z.imag)
+
+
+def _distances(a, b):
+    """|a_i - b_j| for every pair, inf where it is beyond the float range."""
+    with np.errstate(over="ignore"):
+        return _abs(np.subtract.outer(a, b))
 
 
 def cluster_values(values, tol):
@@ -61,7 +69,7 @@ def _has_close_pair(arr, tol):
     """Whether two distinct entries satisfy the clustering rule."""
     size = _abs(arr)
     limit = tol * np.fmax(np.fmax(1.0, size)[:, None], size)
-    close = _abs(np.subtract.outer(arr, arr)) <= limit
+    close = _distances(arr, arr) <= limit
     return bool(np.triu(close, 1).any())
 
 
@@ -87,7 +95,7 @@ def multiset_match(avals, bvals, tol):
     av, bv = np.array(a), np.array(b)
     if not (np.isfinite(av).all() and np.isfinite(bv).all()):
         raise NumericalError("cannot match spectra with non-finite values")
-    cost = _abs(np.subtract.outer(av, bv))
+    cost = _distances(av, bv)
     row_tol = tol * np.fmax(1.0, _abs(av))
     near = cost <= row_tol[:, None]
     partners = near.sum(axis=1)

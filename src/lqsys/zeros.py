@@ -14,9 +14,10 @@ properties of the transfer matrix and are computed from the minimal
 realization numerically, or from the Smith-McMillan form exactly.
 
 The two floating-point spectra, eig(A - B D^-1 C) and eig(-A^b), are
-computed once per StateSpace and memoized on it; clustering at ``tol``
-and the realizability check run on every call.  The det identity has one
-rule for exact and floating input, the Schur determinant formula
+computed once per StateSpace and memoized on it, as are the realizability
+residuals; clustering at ``tol`` and the realizability verdict run on
+every call.  The det identity has one rule for exact and floating input,
+the Schur determinant formula
 det P(s) = (-1)^ns det D det(sI - (A - B D^-1 C)): floating systems read
 it off the same two spectra, exact ones take charpoly(A - B D^-1 C) with
 D^-1 from the adjugate terms of charpoly(D).  It forms no adjoint in
@@ -79,7 +80,12 @@ class RosenbrockPencil:
         return cls(p0=p0, e=e)
 
     def evaluate(self, s):
-        return self.p0 - complex(s) * self.e
+        # s goes where E holds 1: numpy's complex product s * E flags a
+        # spurious overflow for s near the float range's end
+        p = self.p0.copy()
+        i = np.flatnonzero(self.e.diagonal())
+        p[i, i] -= complex(s)
+        return p
 
     @property
     def size(self):
@@ -157,7 +163,9 @@ def invariant_zeros_pencil(ss: StateSpace, tol=1e-9) -> SpectrumReport:
             "pair is not finite"
         )
     nonzero = beta != 0
-    finite = [complex(z) for z in alpha[nonzero] / beta[nonzero] if np.isfinite(z)]
+    with np.errstate(over="ignore"):  # a quotient beyond the float range is dropped
+        quotients = alpha[nonzero] / beta[nonzero]
+    finite = [complex(z) for z in quotients if np.isfinite(z)]
     nrank = normalrank(ss, tol)
     confirmed = [
         z for z in finite if rank_at_tolerance(pencil.evaluate(z), tol) < nrank
@@ -267,7 +275,8 @@ def zero_directions(ss: StateSpace, s0, tol=1e-8) -> ZeroDirections:
     pencil = RosenbrockPencil.from_state_space(ss)
     if pencil.size == 0:
         raise DimensionError("zero directions need a nonempty Rosenbrock matrix")
-    rank, uu, sv, vh = svd_rank(pencil.evaluate(s0), tol, floor=1, vectors=True)
+    # P(s0) is square, so its economy SVD is the full one: u and vh are both complete
+    rank, uu, sv, vh = svd_rank(pencil.evaluate(s0), tol, floor=1, vectors="vh")
     smallest = float(sv[-1])
     if rank == len(sv):
         raise NumericalError(

@@ -287,8 +287,9 @@ class TestDeterminism:
 
 
 class TestHugeEntries:
-    """Entries near the end of the float range make numpy's SVD fail to
-    converge; the CLI reports a numerical error (exit 6), not a traceback."""
+    """Entries near the end of the float range overflow the Krylov matrix
+    of the Kalman split; the CLI reports a numerical error (exit 6), with
+    no traceback and no RuntimeWarning."""
 
     SPEC = (
         '{"representation": "params", "n": 1, "m": 1,'
@@ -296,7 +297,7 @@ class TestHugeEntries:
         '"c_minus": [[[1e100, 0]]], "c_plus": [[[0, 0]]]}'
     )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "argv", [("poles",), ("kalman",), ("zeros", "--method", "all")]
     )
@@ -305,7 +306,8 @@ class TestHugeEntries:
         spec.write_text(self.SPEC)
         code, _, err = run(capsys, argv[0], spec, *argv[1:])
         assert code == EXIT_NUMERICAL
-        assert "did not converge" in err
+        assert "Kalman decomposition failed" in err
+        assert "the Krylov matrix overflows" in err
 
 
 class TestNonFiniteIntermediates:

@@ -14,6 +14,7 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -180,3 +181,37 @@ def test_exact_spec_whose_realizability_residual_overflows(tmp_path):
     for method in ("flat", "theorem"):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["zeros", str(path), "--method", method]) == 6
+
+
+
+def _diagonal_spec(z1, z2):
+    """Annihilation spec with A = diag(z1, z2) and B = C = D = I."""
+    one, zero = [1, 0], [0, 0]
+    eye = [[one, zero], [zero, one]]
+    return {"representation": "annihilation", "A": [[z1, zero], [zero, z2]],
+            "B": eye, "C": eye, "D": eye}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec, codes", [
+    # eigenvalues +-1e308: their difference overflows when clustered
+    (_diagonal_spec([1e308, 0], [-1e308, 0]), {"zeros": 6, "poles": 0, "kalman": 0}),
+    # +-6.5e307 (1 + i): the difference is finite, its modulus is not
+    (_diagonal_spec([6.5e307, 6.5e307], [-6.5e307, -6.5e307]),
+     {"zeros": 6, "poles": 0, "kalman": 0}),
+    # singular D: a QZ quotient alpha / beta of the pencil overflows
+    ({"representation": "quadrature",
+      "A": [[[0, 0], [7.963865229819688e307, 0], [1e-300, 0]], [[0, 0], [-1.0, 0], [0.0, 0]],
+            [[-7.258426379740547e278, 0], [7.946602231956447e306, 0], [1e-300, 0]]],
+      "B": [[[1, 0], [0, 0]], [[0.0, 0], [1, 0]],
+            [[-8.769013744362347e307, 0], [-4.378661831142273e307, 0]]],
+      "C": [[[1, 0], [0, 0], [0.0, 0]],
+            [[1, 0], [-8.769013744362347e307, 0], [-8.769013744362347e307, 0]]],
+      "D": [[[-4.994109361269306e307, 0], [7, 0]], [[-1.0, 0], [0, 0]]]},
+     {"zeros": 2, "poles": 6, "kalman": 6}),
+], ids=["distance", "modulus", "qz_quotient"])
+def test_spectra_beyond_the_float_range_raise_no_warning(tmp_path, spec, codes):
+    # inf is the answer where these overflow, so they raise no RuntimeWarning
+    results = run_all_commands(_spec_file(tmp_path, spec))
+    assert_clean(results)
+    assert {argv[0]: code for argv, code, _ in results if argv[0] in codes} == codes

@@ -11,6 +11,7 @@ checked by the resolvent identity at exact points.
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,21 +246,22 @@ class TestPolyCanonicalForm:
 
 class TestMatMul:
     @SETTINGS
-    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+    @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
     def test_mat_mul(self, r, k, c, data):
+        # any size may be 0: an r x 0 by 0 x c product is the r x c zero matrix
         def mat(rows, cols):
-            return data.draw(
-                st.lists(st.lists(gaussians, min_size=cols, max_size=cols),
-                         min_size=rows, max_size=rows)
-            )
+            entries = data.draw(st.lists(gaussians, min_size=rows * cols, max_size=rows * cols))
+            return np.array(entries, dtype=object).reshape(rows, cols)
 
         a, b = mat(r, k), mat(k, c)
         ref = [[GR_ZERO] * c for _ in range(r)]
         for i in range(r):
             for j in range(c):
                 for t in range(k):
-                    ref[i][j] = ref[i][j] + a[i][t] * b[t][j]
-        assert xl.mat_mul(a, b).tolist() == ref
+                    ref[i][j] = ref[i][j] + a[i, t] * b[t, j]
+        product = xl.mat_mul(a, b)
+        assert product.shape == (r, c)
+        assert product.tolist() == ref
 
 
 def test_empty_determinants_are_one():

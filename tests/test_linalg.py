@@ -226,12 +226,48 @@ class TestRankRule:
         assert null_space_basis(m, 1e-9).shape[1] == 0
 
     def test_vectors_give_the_full_svd(self):
-        m = np.arange(6.0).reshape(2, 3)
-        rank, u, sv, vh = svd_rank(m, 1e-9, 0, True)
-        assert rank == 2 and u.shape == (2, 2) and vh.shape == (3, 3)
-        assert np.allclose(u @ np.diag(sv) @ vh[:2], m)
-        rank, u, sv, vh = svd_rank(m, 1e-9, 0, False)
+        # "vh" is complete, c x c: the full SVD of a wide m, the economy
+        # SVD of a tall one; "u" is the economy SVD, min(r, c) columns
+        wide = np.arange(6.0).reshape(2, 3)
+        cases = [
+            (wide, "vh", (2, 2), (3, 3)),
+            (wide, "u", (2, 2), (2, 3)),
+            (wide.T, "vh", (3, 2), (2, 2)),
+            (wide.T, "u", (3, 2), (2, 2)),
+        ]
+        for m, vectors, u_shape, vh_shape in cases:
+            rank, u, sv, vh = svd_rank(m, 1e-9, 0, vectors)
+            assert rank == 2 and u.shape == u_shape and vh.shape == vh_shape
+            assert np.allclose(u[:, :2] @ np.diag(sv) @ vh[:2], m)
+            assert np.allclose(vh @ vh.T, np.eye(len(vh)))
+        rank, u, sv, vh = svd_rank(wide, 1e-9, 0, False)
         assert rank == 2 and u is None and vh is None and sv.shape == (2,)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize(
+        "rows, cols, rank",
+        [(12, 40, 5), (40, 12, 5), (20, 20, 7), (20, 20, 20), (12, 40, 12),
+         (40, 12, 12), (0, 5, 0), (5, 0, 0), (0, 0, 0), (6, 4, 0)],
+    )
+    def test_bases_of_every_shape(self, rows, cols, rank, complex_):
+        # tall, wide and square, of full rank or not, empty or zero
+        rng = np.random.default_rng(rows * 1000 + cols * 10 + rank)
+
+        def draw(r, c):
+            x = rng.standard_normal((r, c))
+            return x + 1j * rng.standard_normal((r, c)) if complex_ else x
+
+        m = draw(rows, rank) @ draw(rank, cols)
+        rng_basis, null = range_basis(m, 1e-9), null_space_basis(m, 1e-9)
+        assert rng_basis.shape == (rows, rank) and null.shape == (cols, cols - rank)
+        assert rank_at_tolerance(m, 1e-9) == rank
+        scale = max(1.0, np.abs(m).max()) if m.size else 1.0
+        for q in (rng_basis, null):
+            assert orthonormal(q)
+            assert np.isrealobj(q) == (not complex_)
+        # the basis spans every column of m, and the null space is killed by m
+        assert np.allclose(rng_basis @ (rng_basis.conj().T @ m), m, atol=1e-9 * scale)
+        assert np.allclose(m @ null, 0, atol=1e-9 * scale)
 
     def test_empty(self):
         assert svd_rank(np.zeros((0, 3)), 1e-9, 1, True)[0] == 0

@@ -1,7 +1,7 @@
 """StateSpace is immutable and memoizes what is derived from it: the
-eigenvalues of A, the Kalman decomposition per tolerance, and the two
-zero spectra eig(A - B D^-1 C) and eig(-A^b).  Memoized answers must
-equal those for a fresh copy of the same system."""
+eigenvalues of A, the realizability residuals, the Kalman decomposition
+per tolerance, and the two zero spectra eig(A - B D^-1 C) and eig(-A^b).
+Memoized answers must equal those for a fresh copy of the same system."""
 
 import dataclasses
 
@@ -15,10 +15,12 @@ from lqsys import (
     StateSpace,
     SubspaceToleranceError,
     build_state_space,
+    check_physical_realizability,
     classify_left_invertibility,
     frequency_response,
     invariant_zeros_flat,
     invariant_zeros_pencil,
+    invariant_zeros_via_kalman,
     kalman_decompose,
     minimal_realization,
     poles,
@@ -29,6 +31,7 @@ from lqsys import (
     verify_pole_zero_mirror,
     with_lossless_modes,
 )
+from lqsys import model
 from lqsys.zeros import _adjoint_spectrum, _schur_spectrum
 
 NAMES = ("A", "B", "C", "D")
@@ -119,6 +122,45 @@ class TestKalmanMemo:
         for _ in range(3):
             with pytest.raises(SubspaceToleranceError):
                 kalman_decompose(ss)
+
+
+class TestRealizabilityMemo:
+    def test_residuals_are_computed_once_per_system(self, cavity, monkeypatch):
+        calls, residuals = [], model._realizability_residuals
+
+        def counted(ss):
+            calls.append(ss)
+            return residuals(ss)
+
+        monkeypatch.setattr(model, "_realizability_residuals", counted)
+        check_physical_realizability(cavity)
+        for fn in (invariant_zeros_flat, invariant_zeros_via_kalman,
+                   verify_pole_zero_mirror, classify_left_invertibility):
+            fn(cavity)
+        check_physical_realizability(cavity, 1e-8)
+        assert calls == [cavity]
+        check_physical_realizability(fresh_copy(cavity))
+        assert len(calls) == 2
+
+    def test_reports_differ_only_in_tol_and_passed(self, cavity):
+        # a drift residual of 2e-9, between the two tolerances
+        nudged = dataclasses.replace(cavity, A=cavity.A + np.diag([1e-9, 0.0]))
+        tight = check_physical_realizability(nudged, 1e-10).to_dict()
+        loose = check_physical_realizability(nudged, 1e-8).to_dict()
+        assert (tight["passed"], loose["passed"]) == (False, True)
+        assert (tight["tol"], loose["tol"]) == (1e-10, 1e-8)
+        for key in ("tol", "passed"):
+            del tight[key], loose[key]
+        assert tight == loose
+
+    def test_a_report_cannot_change_the_next(self, cavity):
+        first = check_physical_realizability(cavity)
+        expected = dict(first.residuals)
+        first.residuals["drift"] = 99.0
+        del first.residuals["input"]
+        again = check_physical_realizability(cavity)
+        assert again.residuals == expected and again.passed
+        assert again.residuals is not first.residuals
 
 
 class TestZeroSpectraMemo:
