@@ -4,22 +4,24 @@ GaussianRational.
 This is the one form of an exact matrix, from ingestion to storage
 (``QSystemParams.exact``, ``StateSpace.exact``) and the builders'
 formulas, and every exact matrix returned here is one; an array keeps a
-0 x k shape.  Lists appear only inside the integer kernels.  What
-remains: ingestion (``exact_matrix``, and ``to_numpy`` for the rounded
-float copy, which refuses an entry beyond the float range) and ``shape``;
-the integer kernels ``det_exact``, ``charpoly`` and ``pencil_det``, which
-read each matrix once into Gaussian-integer lists over one common
-denominator (``to_scaled``; a list of rows is read too), run on Python
-ints and normalize each result once (Bareiss elimination;
-Faddeev-LeVerrier over one running denominator; Newton interpolation
-through integer falling factorials; sizes are a handful of modes); and the
-scaled product ``scaled_mul`` that the exact transfer matrix and the exact
-det identity share.  ``mat_mul``, ``det_exact`` and ``pencil_det`` have no
-library caller: the tests use them as independent references, and the det
-identity takes det P(s) from the Schur complement.  ``pencil_det``,
-``mat_block`` and ``mat_zeros`` also serve the benchmark's traced probe.
-An empty matrix needs no special case: its determinant, and the
-determinant of an empty pencil, come out as 1.
+0 x k shape.  What remains: ingestion (``exact_matrix``, and ``to_numpy``
+for the rounded float copy, which refuses an entry beyond the float
+range) and ``shape``; and the integer kernels ``det_exact``, ``charpoly``,
+``pencil_det``, ``transfer_numerators`` (the exact transfer matrix over
+charpoly(A)) and ``schur_complement`` (A - B D^-1 C, for the exact det
+identity).  They read each matrix once into the scaled triple of
+``to_scaled``, Gaussian-integer lists over one common denominator (a list
+of rows is read too), run on Python ints and normalize each result once
+(Bareiss elimination; Faddeev-LeVerrier over one running denominator;
+Newton interpolation through integer falling factorials; sizes are a
+handful of modes).  The triples stay in this module, products of them
+are ``scaled_mul``'s, and only ``charpoly``'s adjugate terms are returned
+scaled (``from_scaled`` builds one as an exact matrix).  ``mat_mul``,
+``det_exact`` and ``pencil_det`` have no library caller: the tests use
+them as independent references.  ``pencil_det``, ``mat_block`` and
+``mat_zeros`` also serve the benchmark's traced probe.  An empty matrix
+needs no special case: its determinant, and the determinant of an empty
+pencil, come out as 1.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ __all__ = [
     "det_exact",
     "charpoly",
     "pencil_det",
+    "transfer_numerators",
+    "schur_complement",
 ]
 
 
@@ -270,3 +274,49 @@ def pencil_det(p0, e):
         vx = [v1 - v0 for v0, v1 in zip(vx, vx[1:])]
         vy = [v1 - v0 for v0, v1 in zip(vy, vy[1:])]
     return _poly(xs, ys, fact * (qp * qe) ** n)
+
+
+def transfer_numerators(a, b, c, d):
+    """(p, N) with D + C (sI - A)^-1 B = N/p: p = charpoly(A) and N the
+    object array of Poly numerators D p + C adj(sI - A) B, shaped as D.
+
+    With adj(sI - A) = sum_k M_k s^(n-k) from ``charpoly``, the products
+    C M_k B are formed on the scaled terms, and each numerator is summed
+    coefficient by coefficient as integer pairs over their denominators
+    and normalized once."""
+    p, m_terms = charpoly(a)
+    sb, sc = to_scaled(b), to_scaled(c)
+    # M_k multiplies s^(n-k), so cmb[deg] is the coefficient of s^deg
+    cmb = [scaled_mul(scaled_mul(sc, mk), sb) for mk in reversed(m_terms)]
+    pxs, pys, pq = p._xs, p._ys, p._q
+    out = np.empty(shape(d), dtype=object)
+    for (i, j), dij in np.ndenumerate(d):
+        xs = [t[0][i][j] for t in cmb] + [0]
+        ys = [t[1][i][j] for t in cmb] + [0]
+        qs = [t[2] for t in cmb] + [1]
+        dx, dy, dq = dij._x, dij._y, dij._q
+        if dx or dy:
+            # add D_ij p(s): (dx + dy*i)(pxs + pys*i)/(dq*pq)
+            q2 = dq * pq
+            for k, (x2, y2) in enumerate(zip(pxs, pys)):
+                q1 = qs[k]
+                xs[k] = xs[k] * q2 + (dx * x2 - dy * y2) * q1
+                ys[k] = ys[k] * q2 + (dx * y2 + dy * x2) * q1
+                qs[k] = q1 * q2
+        out[i, j] = _from_parts(xs, ys, qs)
+    return p, out
+
+
+def schur_complement(a, b, c, d):
+    """(charpoly(D), A - B D^-1 C), the second None when D is singular and
+    A itself when D is empty.  With p = charpoly(D) and its last adjugate
+    term M, (-D) M = p(0) I, so D^-1 = -M/p(0) and A - B D^-1 C =
+    A + B M C/p(0): one scaled product B M C, not one per adjugate term."""
+    p, terms = charpoly(d)
+    p0 = p.coeffs[0]
+    if not p0:
+        return p, None
+    if not terms:
+        return p, a
+    bmc = scaled_mul(scaled_mul(to_scaled(b), terms[-1]), to_scaled(c))
+    return p, a + from_scaled(*bmc) / p0

@@ -27,7 +27,7 @@ from .errors import (
     NumericalError,
     SubspaceToleranceError,
 )
-from .linalg import frozen_eigvals, null_space_basis, range_basis
+from .linalg import frozen_eigvals, null_space_basis, range_basis, svd_rank
 from .model import StateSpace, require_physical_realizability
 from .spectra import SpectrumReport, format_complex
 
@@ -58,7 +58,8 @@ def _intersect(q1, q2, tol):
 
     Raises SubspaceToleranceError when a principal cosine sits in an
     ambiguous band around 1, since then the intersection dimension is not
-    a stable function of the tolerance.
+    a stable function of the tolerance.  The re-based columns are
+    orthonormal, so their rank takes floor 1.
     """
     u, sv, _ = np.linalg.svd(q1.conj().T @ q2, full_matrices=False)
     near = sv >= 1 - 100 * tol
@@ -70,14 +71,18 @@ def _intersect(q1, q2, tol):
             f"(principal cosine within {gap:.2e} of 1); adjust tol",
             gap=gap,
         )
-    basis = q1 @ u[:, near]
-    return range_basis(basis, tol)
+    rank, basis, _, _ = svd_rank(q1 @ u[:, near], tol, floor=1, vectors="u")
+    return basis[:, :rank]
 
 
 def _complement_within(q_sub, q_all, tol):
-    """Orthonormal basis of span(q_all) orthogonal to span(q_sub)."""
+    """Orthonormal basis of span(q_all) orthogonal to span(q_sub), both
+    orthonormal.  The projected columns are at most unit vectors, so the
+    rank takes floor 1, as in ``_intersect``: a scale-free cut keeps the
+    rounding residue of a column projected away when nothing else is left."""
     proj = q_all - q_sub @ (q_sub.conj().T @ q_all)
-    return range_basis(proj, tol)
+    rank, basis, _, _ = svd_rank(proj, tol, floor=1, vectors="u")
+    return basis[:, :rank]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .rational import (
     Poly,
     POLY_ONE,
     RationalFn,
-    _from_parts,
     _gr,
     content,
 )
@@ -42,90 +41,73 @@ __all__ = [
 
 
 class RationalMatrix:
-    """Dense matrix of RationalFn entries.  Immutable; its numerator form
-    (see ``_numerator``) is computed on first use and kept."""
+    """Dense matrix of RationalFn entries, held as ``entries``, a read-only
+    2-D numpy object array made from a 2-D array (which keeps a 0 x k
+    shape) or from rows of RationalFn.of values.  Immutable; its numerator
+    form (see ``_numerator``) is computed on first use and kept."""
 
     __slots__ = ("entries", "_numer")
 
     def __init__(self, entries):
-        rows = [[RationalFn.of(e) for e in row] for row in entries]
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise DimensionError("ragged rows in rational matrix")
-        object.__setattr__(self, "entries", tuple([tuple(r) for r in rows]))
+        arr = np.array(entries, dtype=object)
+        if arr.shape == (0,):  # no rows
+            arr = arr.reshape(0, 0)
+        if arr.ndim != 2:  # ragged rows make a 1-D array of lists
+            raise DimensionError("a rational matrix needs equal rows")
+        arr = np.frompyfunc(RationalFn.of, 1, 1)(arr)
+        arr.setflags(write=False)
+        object.__setattr__(self, "entries", arr)
 
     def __setattr__(self, *_):
         raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
     def identity(cls, k):
-        return cls(
-            [[RationalFn.of(1 if i == j else 0) for j in range(k)] for i in range(k)]
-        )
+        return cls.diagonal([1] * k)
 
     @classmethod
     def diagonal(cls, diag, shape=None):
-        diag = [RationalFn.of(d) for d in diag]
-        p = q = len(diag)
-        if shape is not None:
-            p, q = shape
-        return cls(
-            [
-                [diag[i] if i == j and i < len(diag) else RationalFn.of(0)
-                 for j in range(q)]
-                for i in range(p)
-            ]
-        )
+        """diag on the diagonal of a p x q zero matrix, square by default;
+        entries beyond min(p, q) are dropped."""
+        p, q = shape if shape is not None else (len(diag),) * 2
+        out = np.full((p, q), RationalFn.of(0), dtype=object)
+        for i, e in enumerate(list(diag)[: min(p, q)]):
+            out[i, i] = e
+        return cls(out)
 
     @property
     def shape(self):
-        r = len(self.entries)
-        return (r, len(self.entries[0]) if r else 0)
+        return self.entries.shape
 
     def __getitem__(self, idx):
-        i, j = idx
-        return self.entries[i][j]
+        return self.entries[idx]
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.shape == other.shape and self.entries.tolist() == other.entries.tolist()
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.shape, *self.entries.flat))
 
     def __matmul__(self, other):
-        p, q = self.shape
-        q2, r = other.shape
-        if q != q2:
+        if self.shape[1] != other.shape[0]:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        out = []
-        for i in range(p):
-            row = []
-            for j in range(r):
-                acc = RationalFn.of(0)
-                for k in range(q):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return RationalMatrix(out)
+        # an empty sum comes out as the int 0, which the constructor reads
+        return RationalMatrix(self.entries @ other.entries)
 
     def evaluate(self, s):
-        """Numeric (or exact, for GaussianRational s) value of G(s)."""
-        if isinstance(s, GaussianRational):
-            return [[e(s) for e in row] for row in self.entries]
-        p, q = self.shape
-        out = np.zeros((p, q), dtype=complex)
-        for i in range(p):
-            for j in range(q):
-                out[i, j] = complex(self.entries[i][j](s))
-        return out
+        """Numeric (or exact, for GaussianRational s) value of G(s), as an
+        array of GaussianRational or of complex."""
+        vals = np.frompyfunc(lambda e: e(s), 1, 1)(self.entries)
+        return vals if isinstance(s, GaussianRational) else vals.astype(complex)
 
     def determinant(self):
         """Exact determinant over the rational-function field."""
         p, q = self.shape
         if p != q:
             raise DimensionError("determinant needs a square matrix")
-        m = [list(row) for row in self.entries]
+        m = self.entries.tolist()
         det = RationalFn.of(1)
         for col in range(p):
             piv = next((i for i in range(col, p) if not m[i][col].is_zero()), None)
@@ -151,105 +133,73 @@ class RationalMatrix:
 
 
 def transfer_matrix_exact(ss) -> RationalMatrix:
-    """Exact transfer matrix D + C (sI - A)^-1 B of an exact system.
-
-    Uses the Faddeev-LeVerrier expansion of the resolvent: with
-    p(s) = det(sI - A) and adj(sI - A) = sum_k M_k s^(n-1-k), each entry is
-    (D_ij p(s) + [C adj B]_ij) / p(s), reduced.  The products C M_k B are
-    formed on the Gaussian-integer matrices of ``charpoly``'s scaled terms
-    (``exactlinalg.scaled_mul``), and each numerator is summed coefficient
-    by coefficient as integer pairs over their denominators and normalized
-    once.
-    """
+    """Exact transfer matrix D + C (sI - A)^-1 B of an exact system: each
+    entry is the numerator from ``exactlinalg.transfer_numerators``
+    (Faddeev-LeVerrier on Gaussian integers) over p(s) = det(sI - A),
+    reduced."""
     if not ss.is_exact:
         raise ExactnessError(
             "transfer_matrix_exact needs exact entries; "
             "use frequency_response for floating systems"
         )
-    a = ss.exact["A"]
-    b = xl.to_scaled(ss.exact["B"])
-    c = xl.to_scaled(ss.exact["C"])
-    d = ss.exact["D"]
-    p, m_terms = xl.charpoly(a)
-    # M_k multiplies s^(n-k), so cmb[deg] is the coefficient of s^deg
-    cmb = [xl.scaled_mul(xl.scaled_mul(c, mk), b) for mk in reversed(m_terms)]
-    pxs, pys, pq = p._xs, p._ys, p._q
-    out = []
-    for i, drow in enumerate(d):
-        row = []
-        for j, dij in enumerate(drow):
-            xs = [t[0][i][j] for t in cmb] + [0]
-            ys = [t[1][i][j] for t in cmb] + [0]
-            qs = [t[2] for t in cmb] + [1]
-            dx, dy, dq = dij._x, dij._y, dij._q
-            if dx or dy:
-                # add D_ij p(s): (dx + dy*i)(pxs + pys*i)/(dq*pq)
-                q2 = dq * pq
-                for k, (x2, y2) in enumerate(zip(pxs, pys)):
-                    q1 = qs[k]
-                    xs[k] = xs[k] * q2 + (dx * x2 - dy * y2) * q1
-                    ys[k] = ys[k] * q2 + (dx * y2 + dy * x2) * q1
-                    qs[k] = q1 * q2
-            row.append(RationalFn(_from_parts(xs, ys, qs), p))
-        out.append(row)
-    return RationalMatrix(out)
+    p, n = xl.transfer_numerators(*(ss.exact[k] for k in ("A", "B", "C", "D")))
+    return RationalMatrix(_over(n, p))
+
+
+def _over(n, d):
+    """The object array of RationalFn n_ij/d, for an object array n of Poly."""
+    return np.frompyfunc(lambda x: RationalFn(x, d), 1, 1)(n)
 
 
 # ---------------------------------------------------------------------------
 # Smith / Smith-McMillan reduction
 
 
-class _PolyMat:
-    """Mutable polynomial matrix used only inside the reduction and its
-    replay.  Operations are the tuples recorded in SmithMcMillanForm:
-    ("swap", i, j), ("addmul", dst, src, poly), ("scale", i, c) and
-    ("mix", i, j, a, b, c, d); each is written once, as a row operation."""
+def _apply(n, op):
+    """Apply the recorded operation op to the rows of n, an object array of
+    Poly, in place; a column operation is the same call on the view n.T.
+    The operations, as recorded in SmithMcMillanForm:
 
-    def __init__(self, rows):
-        self.m = [list(r) for r in rows]
-
-    def row_op(self, op):
-        getattr(self, "_" + op[0])(*op[1:])
-
-    def col_op(self, op):
-        """A column operation is the row operation on the transpose."""
-        self.m = [list(c) for c in zip(*self.m)]
-        self.row_op(op)
-        self.m = [list(r) for r in zip(*self.m)]
-
-    def _swap(self, i, j):
-        self.m[i], self.m[j] = self.m[j], self.m[i]
-
-    def _addmul(self, dst, src, poly):
-        self.m[dst] = [x + poly * y for x, y in zip(self.m[dst], self.m[src])]
-
-    def _scale(self, i, c):
-        self.m[i] = [x * c for x in self.m[i]]
-
-    def _mix(self, i, j, a, b, c, d):
-        """(row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j)."""
-        ri, rj = self.m[i], self.m[j]
-        self.m[i] = [a * x + b * y for x, y in zip(ri, rj)]
-        self.m[j] = [c * x + d * y for x, y in zip(ri, rj)]
+    - ("swap", i, j): exchange rows i and j;
+    - ("addmul", dst, src, poly): row dst += poly * row src;
+    - ("scale", i, c): row i *= c, a GaussianRational;
+    - ("mix", i, j, a, b, c, d): (row i, row j) <- (a row i + b row j,
+      c row i + d row j), a, b, c, d Poly with a d - b c a nonzero
+      constant.
+    """
+    kind = op[0]
+    if kind == "swap":
+        _, i, j = op
+        n[i], n[j] = n[j].tolist(), n[i].tolist()
+    elif kind == "addmul":
+        _, dst, src, poly = op
+        n[dst] = [x + poly * y for x, y in zip(n[dst].tolist(), n[src].tolist())]
+    elif kind == "scale":
+        _, i, c = op
+        n[i] = [x * c for x in n[i].tolist()]
+    else:
+        _, i, j, a, b, c, d = op
+        ri, rj = n[i].tolist(), n[j].tolist()
+        n[i] = [a * x + b * y for x, y in zip(ri, rj)]
+        n[j] = [c * x + d * y for x, y in zip(ri, rj)]
 
 
 def _numerator(g: RationalMatrix):
     """(N, d) with G = N/d: d the monic lcm of the entry denominators and
-    N a fresh ``_PolyMat`` of d*G.  The lcm and the products are computed
-    once per matrix and kept on it, so the reduction and every replay of
-    the same G share them."""
+    N a fresh object array of the Poly d*G.  The lcm and the products are
+    computed once per matrix and kept on it, so the reduction and every
+    replay of the same G share them."""
     try:
-        rows, d = g._numer
+        n, d = g._numer
     except AttributeError:
         d = POLY_ONE
-        for row in g.entries:
-            for e in row:
-                if e.den != d:
-                    d = d.lcm(e.den)
-        rows = tuple(tuple(e.num if e.den == d else e.num * (d // e.den) for e in row)
-                     for row in g.entries)
-        object.__setattr__(g, "_numer", (rows, d))
-    return _PolyMat(rows), d
+        for e in g.entries.flat:
+            if e.den != d:
+                d = d.lcm(e.den)
+        num = np.frompyfunc(lambda e: e.num if e.den == d else e.num * (d // e.den), 1, 1)
+        n = num(g.entries)
+        object.__setattr__(g, "_numer", (n, d))
+    return n.copy(), d
 
 
 @dataclass(frozen=True)
@@ -258,7 +208,8 @@ class SmithMcMillanForm:
     row/column operations, together with the operations themselves.
 
     ``left_ops`` / ``right_ops`` are the recorded elementary row/column
-    operations; ``apply_operations(G, left_ops, right_ops)`` reproduces
+    operations, tuples described at ``_apply``, which applies both kinds;
+    ``apply_operations(G, left_ops, right_ops)`` reproduces
     ``diagonal()`` exactly.  The unimodular factors can be materialized
     with ``left_matrix()`` / ``right_matrix()`` when needed.
     """
@@ -304,21 +255,19 @@ def apply_operations(g: RationalMatrix, left_ops, right_ops) -> RationalMatrix:
     computed it, and divided by d once at the end."""
     n, d = _numerator(g)
     for op in left_ops:
-        n.row_op(op)
-    # column operations are row operations on the transpose
-    n = _PolyMat(zip(*n.m))
+        _apply(n, op)
     for op in right_ops:
-        n.row_op(op)
-    return RationalMatrix([[RationalFn(x, d) for x in col] for col in zip(*n.m)])
+        _apply(n.T, op)
+    return RationalMatrix(_over(n, d))
 
 
-def _smallest_pivot(m, t, p, q):
+def _smallest_pivot(n, t):
     """Position of the trailing block's nonzero entry of least degree, ties
     broken by least ``Poly.size``, then by (row, col)."""
     keys = [
         (e.degree, e.size(), i, j)
-        for i in range(t, p)
-        for j, e in enumerate(m.m[i][t:q], t)
+        for i, row in enumerate(n[t:].tolist(), t)
+        for j, e in enumerate(row[t:], t)
         if not e.is_zero()
     ]
     return min(keys)[2:] if keys else None
@@ -346,20 +295,20 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
     left_ops, right_ops = [], []
 
     def row_op(*op):
-        n.row_op(op)
+        _apply(n, op)
         left_ops.append(op)
 
     def col_op(*op):
-        n.col_op(op)
+        _apply(n.T, op)
         right_ops.append(op)
 
     def row_normalize(i):
-        c = content(n.m[i])
+        c = content(n[i])
         if c is not None and c != 1:
             row_op("scale", i, GaussianRational(1 / c))
 
     def col_normalize(j):
-        c = content(row[j] for row in n.m)
+        c = content(n[:, j])
         if c is not None and c != 1:
             col_op("scale", j, GaussianRational(1 / c))
 
@@ -377,7 +326,7 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
 
     t = 0
     while t < min(p, q):
-        pos = _smallest_pivot(n, t, p, q)
+        pos = _smallest_pivot(n, t)
         if pos is None:
             break
         if pos[0] != t:
@@ -387,15 +336,15 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
         while True:
             # the nonzero entries left in the pivot's column (side 0) and
             # row (side 1); the smallest is cleared or mixed in next
-            line = [(n.m[i][t].size(), 0, i) for i in range(t + 1, p)
-                    if not n.m[i][t].is_zero()]
-            line += [(n.m[t][j].size(), 1, j) for j in range(t + 1, q)
-                     if not n.m[t][j].is_zero()]
+            line = [(e.size(), 0, i) for i, e in enumerate(n[t + 1:, t], t + 1)
+                    if not e.is_zero()]
+            line += [(e.size(), 1, j) for j, e in enumerate(n[t, t + 1:], t + 1)
+                     if not e.is_zero()]
             if line:
                 _, side, k = min(line)
                 op, normalize = (col_op, col_normalize) if side else (row_op, row_normalize)
-                pivot = n.m[t][t]
-                e = n.m[t][k] if side else n.m[k][t]
+                pivot = n[t, t]
+                e = n[t, k] if side else n[k, t]
                 quot, rem = divmod(e, pivot)
                 if rem.is_zero():
                     op("addmul", k, t, -quot)
@@ -407,14 +356,9 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
             # pivot must divide the whole remaining submatrix; if not, pull
             # the offending row up and keep reducing (the next pass then
             # gcd-mixes the offending entry into the pivot)
-            offender = None
-            for i in range(t + 1, p):
-                for j in range(t + 1, q):
-                    if not n.m[t][t].divides(n.m[i][j]):
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            pivot = n[t, t]
+            offender = next((i for i, row in enumerate(n[t + 1:, t + 1:].tolist(), t + 1)
+                             if not all(pivot.divides(e) for e in row)), None)
             if offender is None:
                 break
             row_op("addmul", t, offender, POLY_ONE)
@@ -422,7 +366,7 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
 
     alphas, betas = [], []
     for i in range(t):
-        fn = RationalFn(n.m[i][i], d)
+        fn = RationalFn(n[i, i], d)
         lc = fn.num.leading()
         if lc != GR_ONE:
             row_op("scale", i, GR_ONE / lc)

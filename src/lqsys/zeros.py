@@ -19,11 +19,12 @@ residuals; clustering at ``tol`` and the realizability verdict run on
 every call.  The det identity has one rule for exact and floating input,
 the Schur determinant formula
 det P(s) = (-1)^ns det D det(sI - (A - B D^-1 C)): floating systems read
-it off the same two spectra, exact ones take charpoly(A - B D^-1 C) with
-D^-1 from the adjugate terms of charpoly(D).  It forms no adjoint in
-exact arithmetic: A^b = J A^H J and A^# = JJ A^T JJ^T are similarities,
-because J^2 = I and JJ is orthogonal, so det(sI + A^b) = det(sI + A^H),
-which is charpoly(-A) with conjugated coefficients, and
+it off the same two spectra, exact ones take charpoly(A - B D^-1 C) from
+``exactlinalg.schur_complement``, which reads D^-1 off the last adjugate
+term of charpoly(D).  It forms no adjoint in exact arithmetic:
+A^b = J A^H J and A^# = JJ A^T JJ^T are similarities, because J^2 = I
+and JJ is orthogonal, so det(sI + A^b) = det(sI + A^H), which is
+charpoly(-A) with conjugated coefficients, and
 det(sI + A^#) = det(sI + A^T) = charpoly(-A).
 """
 
@@ -372,28 +373,21 @@ def verify_det_identity(ss: StateSpace, tol=1e-9) -> DetIdentityReport:
     identity presumes an invertible D, so a singular D gives ``ok=False``
     with an empty ``det_pencil``.
 
-    Exact systems are compared with ``==``.  With p = charpoly(D) and its
-    last adjugate term M_nf, (-D) M_nf = p(0) I, so D^-1 = -M_nf/p(0),
-    det D = (-1)^nf p(0) and A - B D^-1 C = A + B M_nf C/p(0); the right
-    side is (-1)^ns charpoly(A)(-s), with conjugated coefficients in the
-    annihilation picture (see the module docstring for why no adjoint is
-    formed).  Floating systems read both sides off the two memoized
-    spectra and compare coefficientwise,
+    Exact systems are compared with ``==``.  ``exactlinalg.schur_complement``
+    gives p = charpoly(D), so det D = (-1)^nf p(0), and A - B D^-1 C from
+    the last adjugate term of p; the right side is (-1)^ns charpoly(A)(-s),
+    with conjugated coefficients in the annihilation picture (see the
+    module docstring for why no adjoint is formed).  Floating systems read
+    both sides off the two memoized spectra and compare coefficientwise,
     max |l_k - r_k| <= tol * max(1, max |r_k|).  Coefficient tuples are
     lowest degree first.
     """
     ns = ss.state_dim
     if ss.is_exact:
-        a, b, c, d = (ss.exact[k] for k in ("A", "B", "C", "D"))
-        p, terms = xl.charpoly(d)
+        a, d = ss.exact["A"], ss.exact["D"]
+        p, schur = xl.schur_complement(a, ss.exact["B"], ss.exact["C"], d)
         unit = p.coeffs[0] * (-1) ** (ns + len(d))
-        lmon = None
-        if unit:
-            schur = a
-            if terms:
-                bmc = xl.scaled_mul(xl.scaled_mul(xl.to_scaled(b), terms[-1]), xl.to_scaled(c))
-                schur = a + xl.from_scaled(*bmc) / p.coeffs[0]
-            lmon = xl.charpoly(schur)[0]
+        lmon = None if schur is None else xl.charpoly(schur)[0]
         # charpoly(-A) = det(sI + A) = (-1)^ns charpoly(A)(-s)
         right = xl.charpoly(a)[0].compose_neg() * (-1) ** ns
         if ss.representation == "annihilation":

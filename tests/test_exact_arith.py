@@ -269,6 +269,35 @@ def test_empty_determinants_are_one():
     assert xl.pencil_det([], []) == Poly([GR_ONE])
 
 
+def test_transfer_numerators_with_an_empty_dimension():
+    a = xl.exact_matrix([[1, 2], [3, 4]])
+    # no states: N = D over p = 1
+    p, n = xl.transfer_numerators(
+        xl.mat_zeros(0, 0), xl.mat_zeros(0, 2), xl.mat_zeros(2, 0),
+        xl.exact_matrix([[2, 0], [0, 3]]))
+    assert p == Poly([1])
+    assert n.tolist() == [[Poly([2]), Poly([])], [Poly([]), Poly([3])]]
+    # no fields, or no outputs: N keeps the shape of D, over charpoly(A)
+    for m_out, m_in in ((0, 0), (0, 2), (2, 0)):
+        p, n = xl.transfer_numerators(
+            a, xl.mat_zeros(2, m_in), xl.mat_zeros(m_out, 2), xl.mat_zeros(m_out, m_in))
+        assert p == xl.charpoly(a)[0] and n.shape == (m_out, m_in)
+
+
+def test_schur_complement():
+    a = xl.exact_matrix([[1, 2], [3, 4]])
+    b, c = xl.exact_matrix([[1], [1]]), xl.exact_matrix([[1, 0]])
+    p, schur = xl.schur_complement(a, b, c, xl.exact_matrix([[2]]))
+    assert p == Poly([-2, 1])
+    assert schur.tolist() == (a - xl.mat_mul(b, c) / 2).tolist()
+    # a singular D has no complement
+    p, schur = xl.schur_complement(a, b, c, xl.exact_matrix([[0]]))
+    assert p == Poly([0, 1]) and schur is None
+    # an empty D is invertible, with det 1, and leaves A as it is
+    p, schur = xl.schur_complement(a, xl.mat_zeros(2, 0), xl.mat_zeros(0, 2), xl.mat_zeros(0, 0))
+    assert p == Poly([1]) and schur is a
+
+
 def square_matrices(max_n=6):
     return st.integers(0, max_n).flatmap(
         lambda n: st.lists(st.lists(gaussians, min_size=n, max_size=n), min_size=n, max_size=n)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from lqsys import exactlinalg as xl
 from lqsys import (
     HiddenModeConditionError,
+    QSystemParams,
     StateSpace,
     build_state_space,
     check_imaginary_hidden_modes,
+    classify_left_invertibility,
     frequency_response,
     gain_system,
     invariant_zeros_flat,
@@ -14,6 +17,7 @@ from lqsys import (
     kalman_decompose,
     minimal_realization,
     passive_cavity,
+    poles,
     random_params,
     to_quadrature,
     with_lossless_modes,
@@ -203,3 +207,33 @@ class TestMinimalRealization:
         ss = StateSpace(A=np.diag([-1.0, -2.0]), B=1e-12 * np.ones((2, 1)),
                         C=1e-12 * np.ones((1, 2)), D=np.eye(1), representation="annihilation")
         assert kalman_decompose(ss).block_dims == (0, 2, 0, 0)
+
+
+def _cavity_into_gain():
+    """The exact kappa = 1 cavity in series with the gain system:
+    A = [[A1, 0], [B2 C1, A2]], B = [B1; B2 D1], C = [D2 C1, C2], D = D2 D1,
+    with the state reordered to (a1, a2, a1#, a2#).  Realizable, with
+    transfer matrix I: every mode is hidden."""
+    s1 = build_state_space(QSystemParams.create([[0]], [[0]], [[1]], [[0]]))
+    s2 = build_state_space(gain_system())
+    a1, b1, c1, d1 = (s1.exact[k] for k in "ABCD")
+    a2, b2, c2, d2 = (s2.exact[k] for k in "ABCD")
+    a = xl.mat_block([[a1, xl.mat_zeros(2, 2)], [b2 @ c1, a2]])
+    b = xl.mat_block([[b1], [b2 @ d1]])
+    c = xl.mat_block([[d2 @ c1, c2]])
+    p = [0, 2, 1, 3]
+    return StateSpace.from_matrices(a[p][:, p], b[p], c[:, p], d2 @ d1)
+
+
+class TestComplementRank:
+    def test_cascade_into_gain_splits_and_refuses_on_hidden_modes(self):
+        # the projected complement of a column already in the subspace is
+        # rounding residue of unit scale; a scale-free cut kept it and the
+        # blocks came out (2, 2, 2, 0), which does not fill the space
+        ss = _cavity_into_gain()
+        assert kalman_decompose(ss).block_dims == (2, 0, 0, 2)
+        assert poles(ss).is_empty()
+        with pytest.raises(HiddenModeConditionError):
+            invariant_zeros_via_kalman(ss)
+        with pytest.raises(HiddenModeConditionError):
+            classify_left_invertibility(ss)

@@ -13,8 +13,9 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lqsys import apply_operations, build_state_space, random_params, random_system
@@ -41,7 +42,7 @@ def det(rows):
 
 def determinantal_divisors(nmat):
     """[D_0, D_1, ...] up to the rank of the Poly matrix ``nmat``."""
-    p, q = len(nmat), len(nmat[0])
+    p, q = len(nmat), len(nmat[0]) if nmat else 0
     out = [POLY_ONE]
     for k in range(1, min(p, q) + 1):
         g = POLY_ZERO
@@ -100,7 +101,7 @@ _entries = st.builds(
 
 @st.composite
 def _matrices(draw):
-    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     rows = [draw(st.lists(_entries, min_size=q, max_size=q)) for _ in range(p)]
     shape = draw(st.sampled_from(["dense", "repeated row", "diagonal"]))
     if shape == "repeated row" and p > 1:
@@ -113,5 +114,10 @@ def _matrices(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_matrices())
+@example(RationalMatrix(np.empty((0, 2), dtype=object)))
+@example(RationalMatrix(np.empty((2, 0), dtype=object)))
 def test_small_matrices_of_any_shape(g):
     check(g)
+    smf = smith_mcmillan(g)
+    assert smf.shape == g.shape
+    assert smf.left_matrix() @ g @ smf.right_matrix() == smf.diagonal()

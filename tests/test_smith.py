@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lqsys import (
+    DimensionError,
     ExactnessError,
     PoleEvaluationError,
     Poly,
@@ -121,6 +122,40 @@ class TestTransferMatrixExact:
         # the hidden modes cancel exactly: G(s) = I as rational functions
         g = transfer_matrix_exact(quad_hidden_pair)
         assert g == RationalMatrix.identity(2)
+
+
+class TestRationalMatrix:
+    def test_entries_are_a_read_only_object_array(self):
+        g = RationalMatrix([[RationalFn(S, S - 1), 0]])
+        assert g.entries.dtype == object and g.entries.shape == (1, 2)
+        with pytest.raises(ValueError):
+            g.entries[0, 1] = RationalFn.of(1)
+        with pytest.raises(DimensionError):
+            RationalMatrix([[1, 2], [3]])
+
+    def test_equal_matrices_hash_alike(self):
+        rows = [[RationalFn(S, S - 1), 2], [0, S]]
+        g = RationalMatrix(rows)
+        h = RationalMatrix(np.array([[RationalFn.of(e) for e in row] for row in rows], dtype=object))
+        assert g == h and hash(g) == hash(h)
+        assert g != RationalMatrix(rows[:1])
+
+    def test_empty_dimensions_keep_their_shape(self):
+        wide = RationalMatrix.diagonal([], shape=(0, 3))
+        assert wide.shape == (0, 3) and wide != RationalMatrix([])
+        assert RationalMatrix(np.empty((0, 3), dtype=object)) == wide
+        # a sum over an empty inner dimension is the zero matrix
+        zero = RationalMatrix.diagonal([], shape=(3, 0)) @ wide
+        assert zero == RationalMatrix.diagonal([0, 0, 0])
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_smith_mcmillan_keeps_an_empty_shape(self, shape):
+        g = RationalMatrix(np.empty(shape, dtype=object))
+        smf = smith_mcmillan(g)
+        assert smf.shape == shape and smf.rank == 0
+        assert smf.diagonal().shape == shape
+        assert apply_operations(g, smf.left_ops, smf.right_ops) == smf.diagonal()
+        assert smf.left_matrix() @ g @ smf.right_matrix() == smf.diagonal()
 
 
 class TestSmithMcMillan:
