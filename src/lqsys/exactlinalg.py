@@ -4,24 +4,23 @@ GaussianRational.
 This is the one form of an exact matrix, from ingestion to storage
 (``QSystemParams.exact``, ``StateSpace.exact``) and the builders'
 formulas, and every exact matrix returned here is one; an array keeps a
-0 x k shape.  What remains: ingestion (``exact_matrix``, and ``to_numpy``
-for the rounded float copy, which refuses an entry beyond the float
-range) and ``shape``; and the integer kernels ``det_exact``, ``charpoly``,
-``pencil_det``, ``transfer_numerators`` (the exact transfer matrix over
-charpoly(A)) and ``schur_complement`` (A - B D^-1 C, for the exact det
-identity).  They read each matrix once into the scaled triple of
-``to_scaled``, Gaussian-integer lists over one common denominator (a list
-of rows is read too), run on Python ints and normalize each result once
+0 x k shape, and products of exact matrices are numpy's ``@``.  What
+remains: ingestion (``exact_matrix``, and ``to_numpy`` for the rounded
+float copy, which refuses an entry beyond the float range); and the
+integer kernels ``charpoly``, ``pencil_det``, ``transfer_numerators``
+(the exact transfer matrix over charpoly(A)) and ``schur_complement``
+(A - B D^-1 C, for the exact det identity).  They read each matrix once
+into the scaled triple of ``to_scaled``, Gaussian-integer lists over one
+common denominator, run on Python ints and normalize each result once
 (Bareiss elimination; Faddeev-LeVerrier over one running denominator;
 Newton interpolation through integer falling factorials; sizes are a
 handful of modes).  The triples stay in this module, products of them
 are ``scaled_mul``'s, and only ``charpoly``'s adjugate terms are returned
-scaled (``from_scaled`` builds one as an exact matrix).  ``mat_mul``,
-``det_exact`` and ``pencil_det`` have no library caller: the tests use
-them as independent references.  ``pencil_det``, ``mat_block`` and
-``mat_zeros`` also serve the benchmark's traced probe.  An empty matrix
-needs no special case: its determinant, and the determinant of an empty
-pencil, come out as 1.
+scaled (``from_scaled`` builds one as an exact matrix).  ``pencil_det``
+has no library caller: the tests use it as an independent reference,
+and it, ``mat_block`` and ``mat_zeros`` serve the benchmark's traced
+probe.  An empty matrix needs no special case: its characteristic
+polynomial, and the determinant of an empty pencil, come out as 1.
 """
 
 from __future__ import annotations
@@ -37,14 +36,11 @@ from .rational import GR_ZERO, GaussianRational, _from_parts, _gr, _poly
 __all__ = [
     "exact_matrix",
     "to_numpy",
-    "shape",
     "to_scaled",
     "from_scaled",
     "scaled_mul",
-    "mat_mul",
     "mat_zeros",
     "mat_block",
-    "det_exact",
     "charpoly",
     "pencil_det",
     "transfer_numerators",
@@ -75,12 +71,6 @@ def to_numpy(m):
         raise NumericalError(f"exact entry too large for a float copy: {e}") from e
 
 
-def shape(m):
-    if isinstance(m, np.ndarray):
-        return m.shape
-    return len(m), (len(m[0]) if m else 0)
-
-
 def mat_zeros(r, c):
     return np.full((r, c), GR_ZERO, dtype=object)
 
@@ -88,7 +78,7 @@ def mat_zeros(r, c):
 def to_scaled(a):
     """(xs, ys, q): int lists of rows with xs + ys*i = q*a, q the least
     common denominator of the entries of a.  ``from_scaled`` inverts it."""
-    a = np.asarray(a, dtype=object).tolist()
+    a = a.tolist()
     q = lcm(*[x._q for row in a for x in row])
     xs = [[x._x * (q // x._q) for x in row] for row in a]
     ys = [[x._y * (q // x._q) for x in row] for row in a]
@@ -104,8 +94,12 @@ def scaled_mul(a, b):
     """Product of two scaled matrices (xs, ys, q), as one: an integer
     triple loop over the Gaussian-integer parts, the denominators
     multiplied, nothing normalized.  Lists of rows cannot carry the
-    column count of a matrix without rows, so a factor with an empty
-    dimension is ``mat_mul``'s to handle."""
+    column count of a matrix without rows, so each caller keeps its
+    shapes: ``charpoly`` multiplies n x n terms for n >= 2 only,
+    ``transfer_numerators`` reads its products at the indices of D, and
+    ``schur_complement`` returns A for an empty D; for an A without rows
+    the product has none, which ``from_scaled`` reads as 0 x 0, the
+    shape of A."""
     ax, ay, qa = a
     bx, by, qb = b
     cols = [list(zip(cx, cy)) for cx, cy in zip(zip(*bx), zip(*by))]
@@ -124,18 +118,6 @@ def scaled_mul(a, b):
         outx.append(rowx)
         outy.append(rowy)
     return outx, outy, qa * qb
-
-
-def mat_mul(a, b):
-    """Product over one common denominator per factor: ``scaled_mul``,
-    and one gcd per entry of the result."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise DimensionError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    if not (ra and ca and cb):  # an empty sum or an empty result
-        return mat_zeros(ra, cb)
-    return from_scaled(*scaled_mul(to_scaled(a), to_scaled(b)))
 
 
 def mat_block(blocks):
@@ -179,18 +161,6 @@ def _bareiss(mx, my):
     return sign * px, sign * py
 
 
-def det_exact(a):
-    """Determinant by Bareiss elimination over the Gaussian integers: the
-    matrix is scaled to Gaussian integers over one common denominator q,
-    and det/q^n is normalized once."""
-    r, c = shape(a)
-    if r != c:
-        raise DimensionError("determinant needs a square matrix")
-    mx, my, q = to_scaled(a)
-    dx, dy = _bareiss(mx, my)
-    return _gr(dx, dy, q**r)
-
-
 def charpoly(a):
     """Characteristic polynomial det(sI - A) via Faddeev-LeVerrier on
     Gaussian integers, with the adjugate expansion coefficients M_1..M_n,
@@ -204,7 +174,7 @@ def charpoly(a):
     M_k = (xs + ys*i)/d, for ``scaled_mul``; ``from_scaled`` builds one as
     an exact matrix.  The polynomial is normalized once.
     """
-    n, c = shape(a)
+    n, c = a.shape
     if n != c:
         raise DimensionError("characteristic polynomial needs a square matrix")
     qa = to_scaled(a)
@@ -246,8 +216,8 @@ def pencil_det(p0, e):
 
     whose falling factorials have integer coefficients, so the polynomial
     is an integer vector over deg! * den, normalized once."""
-    n, c = shape(p0)
-    if shape(e) != (n, c) or n != c:
+    n, c = p0.shape
+    if e.shape != (n, c) or n != c:
         raise DimensionError("pencil blocks must be square and same shape")
     deg = sum(1 for row in e if any(not x.is_zero() for x in row))
     px, py, qp = to_scaled(p0)
@@ -289,7 +259,7 @@ def transfer_numerators(a, b, c, d):
     # M_k multiplies s^(n-k), so cmb[deg] is the coefficient of s^deg
     cmb = [scaled_mul(scaled_mul(sc, mk), sb) for mk in reversed(m_terms)]
     pxs, pys, pq = p._xs, p._ys, p._q
-    out = np.empty(shape(d), dtype=object)
+    out = np.empty(d.shape, dtype=object)
     for (i, j), dij in np.ndenumerate(d):
         xs = [t[0][i][j] for t in cmb] + [0]
         ys = [t[1][i][j] for t in cmb] + [0]

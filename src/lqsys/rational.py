@@ -28,14 +28,8 @@ __all__ = ["GaussianRational", "Poly", "RationalFn", "GR_ZERO", "GR_ONE"]
 
 
 def _to_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        # floats are binary rationals, so this conversion is exact
-        return Fraction(x)
-    if isinstance(x, str):
+    # floats are binary rationals, so their conversion is exact too
+    if isinstance(x, (Fraction, int, float, str)):
         return Fraction(x)
     raise ExactnessError(f"cannot interpret {x!r} as an exact rational")
 
@@ -110,6 +104,8 @@ class GaussianRational:
 
     def __add__(self, o):
         if type(o) is not GaussianRational:
+            if not isinstance(o, _NUMBERS):
+                return NotImplemented
             o = GaussianRational.of(o)
         q1, q2 = self._q, o._q
         if q1 == q2:
@@ -123,6 +119,8 @@ class GaussianRational:
 
     def __sub__(self, o):
         if type(o) is not GaussianRational:
+            if not isinstance(o, _NUMBERS):
+                return NotImplemented
             o = GaussianRational.of(o)
         q1, q2 = self._q, o._q
         if q1 == q2:
@@ -130,10 +128,14 @@ class GaussianRational:
         return _gr(self._x * q2 - o._x * q1, self._y * q2 - o._y * q1, q1 * q2)
 
     def __rsub__(self, other):
+        if not isinstance(other, _NUMBERS):
+            return NotImplemented
         return GaussianRational.of(other) - self
 
     def __mul__(self, o):
         if type(o) is not GaussianRational:
+            if not isinstance(o, _NUMBERS):
+                return NotImplemented
             o = GaussianRational.of(o)
         x1, y1, x2, y2 = self._x, self._y, o._x, o._y
         return _gr(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, self._q * o._q)
@@ -142,6 +144,8 @@ class GaussianRational:
 
     def __truediv__(self, o):
         if type(o) is not GaussianRational:
+            if not isinstance(o, _NUMBERS):
+                return NotImplemented
             o = GaussianRational.of(o)
         x1, y1, x2, y2 = self._x, self._y, o._x, o._y
         n = x2 * x2 + y2 * y2
@@ -152,6 +156,8 @@ class GaussianRational:
         return _gr((x1 * x2 + y1 * y2) * q2, (y1 * x2 - x1 * y2) * q2, self._q * n)
 
     def __rtruediv__(self, other):
+        if not isinstance(other, _NUMBERS):
+            return NotImplemented
         return GaussianRational.of(other) / self
 
     def __pow__(self, n):
@@ -168,10 +174,6 @@ class GaussianRational:
 
     def conjugate(self):
         return _gr(self._x, -self._y, self._q)
-
-    def abs2(self):
-        """|z|^2 as an exact Fraction."""
-        return Fraction(self._x * self._x + self._y * self._y, self._q * self._q)
 
     # -- conversions / protocol -------------------------------------------
 
@@ -221,6 +223,11 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
+
+# What each exact type's operators read, its own type first: _NUMBERS,
+# _POLY_OPERANDS, _RATIONAL_OPERANDS.  Any other operand gets NotImplemented,
+# so its own reflected method (a RationalFn's, an ndarray's) runs.
+_NUMBERS = (GaussianRational, int, Fraction, float, complex, str)
 
 
 def content(polys):
@@ -346,14 +353,6 @@ class Poly:
     def s(cls):
         return cls([0, 1])
 
-    @classmethod
-    def from_roots(cls, roots):
-        """Monic polynomial with the given exact roots."""
-        p = POLY_ONE
-        for r in roots:
-            p = p * cls([-GaussianRational.of(r), 1])
-        return p
-
     # -- structure --------------------------------------------------------
 
     @property
@@ -428,8 +427,11 @@ class Poly:
         return _poly(xs, ys, q1)
 
     def __add__(self, other):
-        o = other if isinstance(other, Poly) else Poly.constant(other)
-        return self._combine(o, 1)
+        if type(other) is not Poly:
+            if not isinstance(other, _NUMBERS):
+                return NotImplemented
+            other = Poly.constant(other)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -437,10 +439,15 @@ class Poly:
         return _raw([-x for x in self._xs], [-y for y in self._ys], self._q)
 
     def __sub__(self, other):
-        o = other if isinstance(other, Poly) else Poly.constant(other)
-        return self._combine(o, -1)
+        if type(other) is not Poly:
+            if not isinstance(other, _NUMBERS):
+                return NotImplemented
+            other = Poly.constant(other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
+        if not isinstance(other, _NUMBERS):
+            return NotImplemented
         return Poly.constant(other)._combine(self, -1)
 
     def _scaled(self, c):
@@ -458,7 +465,9 @@ class Poly:
         return _poly([x * cx for x in xs], [y * cx for y in ys], self._q * c._q)
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
+        if type(other) is not Poly:
+            if not isinstance(other, _NUMBERS):
+                return NotImplemented
             return self._scaled(GaussianRational.of(other))
         ax, ay, bx, by = self._xs, self._ys, other._xs, other._ys
         if not ax or not bx:
@@ -553,12 +562,18 @@ class Poly:
         return quot, _poly(rx, ry, rq)
 
     def __divmod__(self, other):
+        if not isinstance(other, _POLY_OPERANDS):
+            return NotImplemented
         return self._divide(other)
 
     def __floordiv__(self, other):
+        if not isinstance(other, _POLY_OPERANDS):
+            return NotImplemented
         return self._divide(other)[0]
 
     def __mod__(self, other):
+        if not isinstance(other, _POLY_OPERANDS):
+            return NotImplemented
         return self._divide(other, want_quotient=False)[1]
 
     def divides(self, other):
@@ -628,13 +643,6 @@ class Poly:
             self._q,
         )
 
-    def derivative(self):
-        return _poly(
-            [x * i for i, x in enumerate(self._xs)][1:],
-            [y * i for i, y in enumerate(self._ys)][1:],
-            self._q,
-        )
-
     def __call__(self, x):
         """Evaluate by Horner; exact for GaussianRational x, float otherwise."""
         xs, ys = self._xs, self._ys
@@ -688,6 +696,7 @@ class Poly:
 
 POLY_ZERO = _raw([], [], 1)
 POLY_ONE = _raw([1], [0], 1)
+_POLY_OPERANDS = (Poly, *_NUMBERS)
 
 
 def render_poly(p: Poly):
@@ -747,11 +756,7 @@ class RationalFn:
 
     @classmethod
     def of(cls, x):
-        if isinstance(x, RationalFn):
-            return x
-        if isinstance(x, Poly):
-            return cls(x)
-        return cls(Poly.constant(x))
+        return x if isinstance(x, RationalFn) else cls(x)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -763,6 +768,8 @@ class RationalFn:
         return self.num.is_constant() and self.den.is_constant()
 
     def __add__(self, other):
+        if not isinstance(other, _RATIONAL_OPERANDS):
+            return NotImplemented
         o = RationalFn.of(other)
         return RationalFn(self.num * o.den + o.num * self.den, self.den * o.den)
 
@@ -772,24 +779,34 @@ class RationalFn:
         return RationalFn(-self.num, self.den)
 
     def __sub__(self, other):
+        if not isinstance(other, _RATIONAL_OPERANDS):
+            return NotImplemented
         return self + (-RationalFn.of(other))
 
     def __rsub__(self, other):
+        if not isinstance(other, _RATIONAL_OPERANDS):
+            return NotImplemented
         return RationalFn.of(other) + (-self)
 
     def __mul__(self, other):
+        if not isinstance(other, _RATIONAL_OPERANDS):
+            return NotImplemented
         o = RationalFn.of(other)
         return RationalFn(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if not isinstance(other, _RATIONAL_OPERANDS):
+            return NotImplemented
         o = RationalFn.of(other)
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RationalFn(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
+        if not isinstance(other, _RATIONAL_OPERANDS):
+            return NotImplemented
         return RationalFn.of(other) / self
 
     def compose_neg(self):
@@ -824,6 +841,9 @@ class RationalFn:
         npart = ntxt if _is_atom(ntxt) else f"({ntxt})"
         dpart = dtxt if _is_atom(dtxt) else f"({dtxt})"
         return f"{npart}/{dpart}"
+
+
+_RATIONAL_OPERANDS = (RationalFn, *_POLY_OPERANDS)
 
 
 def _is_atom(txt):

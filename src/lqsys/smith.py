@@ -254,10 +254,9 @@ def apply_operations(g: RationalMatrix, left_ops, right_ops) -> RationalMatrix:
     numerator N = d*G, kept on G since the reduction of the same matrix
     computed it, and divided by d once at the end."""
     n, d = _numerator(g)
-    for op in left_ops:
-        _apply(n, op)
-    for op in right_ops:
-        _apply(n.T, op)
+    for view, ops in ((n, left_ops), (n.T, right_ops)):
+        for op in ops:
+            _apply(view, op)
     return RationalMatrix(_over(n, d))
 
 
@@ -292,25 +291,18 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
     """
     p, q = g.shape
     n, d = _numerator(g)
-    left_ops, right_ops = [], []
+    # side 0 works on rows (the view n), side 1 on columns (the view n.T);
+    # ops[side] records its operations
+    views, ops = (n, n.T), ([], [])
 
-    def row_op(*op):
-        _apply(n, op)
-        left_ops.append(op)
+    def op(side, *o):
+        _apply(views[side], o)
+        ops[side].append(o)
 
-    def col_op(*op):
-        _apply(n.T, op)
-        right_ops.append(op)
-
-    def row_normalize(i):
-        c = content(n[i])
+    def normalize(side, k):
+        c = content(views[side][k])
         if c is not None and c != 1:
-            row_op("scale", i, GaussianRational(1 / c))
-
-    def col_normalize(j):
-        c = content(n[:, j])
-        if c is not None and c != 1:
-            col_op("scale", j, GaussianRational(1 / c))
+            op(side, "scale", k, GaussianRational(1 / c))
 
     def bezout(pivot, e, quot, rem):
         """The 2x2 mix (a, b, c, d) with a*pivot + b*e = gcd(pivot, e) and
@@ -322,36 +314,31 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
         return a - b * quot, b, -(e // g), pivot // g
 
     for i in range(p):
-        row_normalize(i)
+        normalize(0, i)
 
     t = 0
     while t < min(p, q):
         pos = _smallest_pivot(n, t)
         if pos is None:
             break
-        if pos[0] != t:
-            row_op("swap", t, pos[0])
-        if pos[1] != t:
-            col_op("swap", t, pos[1])
+        for side in (0, 1):
+            if pos[side] != t:
+                op(side, "swap", t, pos[side])
         while True:
             # the nonzero entries left in the pivot's column (side 0) and
             # row (side 1); the smallest is cleared or mixed in next
-            line = [(e.size(), 0, i) for i, e in enumerate(n[t + 1:, t], t + 1)
-                    if not e.is_zero()]
-            line += [(e.size(), 1, j) for j, e in enumerate(n[t, t + 1:], t + 1)
-                     if not e.is_zero()]
+            line = [(e.size(), side, k) for side in (0, 1)
+                    for k, e in enumerate(views[side][t + 1:, t], t + 1) if not e.is_zero()]
             if line:
                 _, side, k = min(line)
-                op, normalize = (col_op, col_normalize) if side else (row_op, row_normalize)
-                pivot = n[t, t]
-                e = n[t, k] if side else n[k, t]
+                pivot, e = n[t, t], views[side][k, t]
                 quot, rem = divmod(e, pivot)
                 if rem.is_zero():
-                    op("addmul", k, t, -quot)
+                    op(side, "addmul", k, t, -quot)
                 else:
-                    op("mix", t, k, *bezout(pivot, e, quot, rem))
-                    normalize(t)
-                normalize(k)
+                    op(side, "mix", t, k, *bezout(pivot, e, quot, rem))
+                    normalize(side, t)
+                normalize(side, k)
                 continue
             # pivot must divide the whole remaining submatrix; if not, pull
             # the offending row up and keep reducing (the next pass then
@@ -361,7 +348,7 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
                              if not all(pivot.divides(e) for e in row)), None)
             if offender is None:
                 break
-            row_op("addmul", t, offender, POLY_ONE)
+            op(0, "addmul", t, offender, POLY_ONE)
         t += 1
 
     alphas, betas = [], []
@@ -369,7 +356,7 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
         fn = RationalFn(n[i, i], d)
         lc = fn.num.leading()
         if lc != GR_ONE:
-            row_op("scale", i, GR_ONE / lc)
+            op(0, "scale", i, GR_ONE / lc)
         alphas.append(fn.num.monic())
         betas.append(fn.den)
     return SmithMcMillanForm(
@@ -377,8 +364,8 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
         betas=tuple(betas),
         rank=t,
         shape=(p, q),
-        left_ops=tuple(left_ops),
-        right_ops=tuple(right_ops),
+        left_ops=tuple(ops[0]),
+        right_ops=tuple(ops[1]),
     )
 
 
@@ -452,23 +439,13 @@ def polynomial_roots_exact_first(poly: Poly):
 def zeros_poles_from_smf(smf: SmithMcMillanForm, tol=1e-10):
     """(transmission zeros, poles) of the Smith-McMillan form, with
     multiplicity, as SpectrumReports tagged 'smf'."""
-    zero_vals, zero_numeric = _roots_of_all(smf.alphas)
-    pole_vals, pole_numeric = _roots_of_all(smf.betas)
-    znotes = ("numeric-residual-roots",) if zero_numeric else ()
-    pnotes = ("numeric-residual-roots",) if pole_numeric else ()
-    zeros = SpectrumReport.from_values(zero_vals, tol=tol, method="smf", notes=znotes)
-    poles = SpectrumReport.from_values(pole_vals, tol=tol, method="smf", notes=pnotes)
-    return zeros, poles
+    return _roots_report(smf.alphas, tol), _roots_report(smf.betas, tol)
 
 
-def _roots_of_all(polys):
-    vals = []
-    any_numeric = False
-    for p in polys:
-        if p.is_constant():
-            continue
-        exact, numeric = polynomial_roots_exact_first(p)
-        vals.extend(complex(r) for r in exact)
-        vals.extend(numeric)
-        any_numeric = any_numeric or bool(numeric)
-    return vals, any_numeric
+def _roots_report(polys, tol):
+    """The roots of the polys, with multiplicity, as a SpectrumReport
+    tagged 'smf' that notes numeric residual roots."""
+    found = [polynomial_roots_exact_first(p) for p in polys if not p.is_constant()]
+    vals = [complex(r) for exact, numeric in found for r in (*exact, *numeric)]
+    notes = ("numeric-residual-roots",) if any(numeric for _, numeric in found) else ()
+    return SpectrumReport.from_values(vals, tol=tol, method="smf", notes=notes)

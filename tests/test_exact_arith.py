@@ -2,8 +2,8 @@
 
 Poly operations are compared with a coefficient-wise reference written
 here on lists of GaussianRational (one normalized value per coefficient,
-schoolbook algorithms).  Determinants, characteristic polynomials and
-pencil determinants are compared with sympy's DomainMatrix over QQ_I,
+schoolbook algorithms).  Characteristic polynomials and pencil
+determinants are compared with sympy's DomainMatrix over QQ_I,
 which is a test-only dependency; the adjugate terms of ``charpoly`` are
 checked by the resolvent identity at exact points.
 """
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from lqsys import exactlinalg as xl
 from lqsys import rational
-from lqsys.rational import GR_ONE, GR_ZERO, GaussianRational, Poly
+from lqsys.rational import GR_ONE, GR_ZERO, GaussianRational, Poly, RationalFn
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -187,10 +187,9 @@ class TestPolyAgainstReference:
 
     @SETTINGS
     @given(polys)
-    def test_monic_compose_neg_derivative(self, a):
+    def test_monic_and_compose_neg(self, a):
         assert L(a.monic()) == ref_monic(L(a))
         assert L(a.compose_neg()) == [c if i % 2 == 0 else -c for i, c in enumerate(L(a))]
-        assert L(a.derivative()) == trim(c * i for i, c in enumerate(L(a)) if i)
 
     @SETTINGS
     @given(polys, gaussians)
@@ -241,32 +240,49 @@ class TestPolyCanonicalForm:
         assert Poly([GaussianRational(2, 4)]).coeffs == (GaussianRational(2, 4),)
 
 
+# -- mixed operands ---------------------------------------------------------------
+
+short_polys = st.lists(gaussians, max_size=3).map(Poly)
+rational_fns = st.builds(RationalFn, short_polys, short_polys.filter(lambda p: not p.is_zero()))
+exact_values = st.one_of(st.integers(-5, 5), gaussians, short_polys, rational_fns)
+
+
+class TestMixedOperands:
+    """An operator returns NotImplemented for an operand its type cannot
+    read, so the other operand's reflected method runs."""
+
+    @SETTINGS
+    @given(exact_values, exact_values)
+    def test_mixed_pairs_agree_with_rational_functions(self, a, b):
+        fa, fb = RationalFn.of(a), RationalFn.of(b)
+        assert a + b == fa + fb
+        assert a - b == fa - fb
+        assert a * b == fa * fb
+
+    @SETTINGS
+    @given(exact_values, st.lists(exact_values, min_size=1, max_size=3))
+    def test_products_with_object_arrays_commute(self, x, entries):
+        arr = np.fromiter(entries, dtype=object, count=len(entries))
+        assert (x * arr).tolist() == (arr * x).tolist()
+
+    def test_poly_and_gaussian_hand_over(self):
+        s = Poly.s()
+        f = RationalFn(Poly([1]), s - 1)
+        assert s * f == RationalFn(s, s - 1)
+        assert s + f == RationalFn(s * s - s + 1, s - 1)
+        assert s - f == RationalFn(s * s - s - 1, s - 1)
+        assert (GaussianRational(2) * np.array([s], dtype=object)).tolist() == [2 * s]
+        with pytest.raises(TypeError):
+            GaussianRational(1) + object()
+
+
 # -- exact matrices ---------------------------------------------------------------
 
 
-class TestMatMul:
-    @SETTINGS
-    @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
-    def test_mat_mul(self, r, k, c, data):
-        # any size may be 0: an r x 0 by 0 x c product is the r x c zero matrix
-        def mat(rows, cols):
-            entries = data.draw(st.lists(gaussians, min_size=rows * cols, max_size=rows * cols))
-            return np.array(entries, dtype=object).reshape(rows, cols)
-
-        a, b = mat(r, k), mat(k, c)
-        ref = [[GR_ZERO] * c for _ in range(r)]
-        for i in range(r):
-            for j in range(c):
-                for t in range(k):
-                    ref[i][j] = ref[i][j] + a[i, t] * b[t, j]
-        product = xl.mat_mul(a, b)
-        assert product.shape == (r, c)
-        assert product.tolist() == ref
-
-
 def test_empty_determinants_are_one():
-    assert xl.det_exact([]) == 1
-    assert xl.pencil_det([], []) == Poly([GR_ONE])
+    empty = xl.mat_zeros(0, 0)
+    assert xl.charpoly(empty)[0] == Poly([GR_ONE])
+    assert xl.pencil_det(empty, empty) == Poly([GR_ONE])
 
 
 def test_transfer_numerators_with_an_empty_dimension():
@@ -289,19 +305,23 @@ def test_schur_complement():
     b, c = xl.exact_matrix([[1], [1]]), xl.exact_matrix([[1, 0]])
     p, schur = xl.schur_complement(a, b, c, xl.exact_matrix([[2]]))
     assert p == Poly([-2, 1])
-    assert schur.tolist() == (a - xl.mat_mul(b, c) / 2).tolist()
+    assert schur.tolist() == (a - b @ c / 2).tolist()
     # a singular D has no complement
     p, schur = xl.schur_complement(a, b, c, xl.exact_matrix([[0]]))
     assert p == Poly([0, 1]) and schur is None
     # an empty D is invertible, with det 1, and leaves A as it is
     p, schur = xl.schur_complement(a, xl.mat_zeros(2, 0), xl.mat_zeros(0, 2), xl.mat_zeros(0, 0))
     assert p == Poly([1]) and schur is a
+    # no states: the complement of an invertible D is the 0 x 0 A
+    d = xl.exact_matrix([[2, 1], [0, 1]])
+    p, schur = xl.schur_complement(xl.mat_zeros(0, 0), xl.mat_zeros(0, 2), xl.mat_zeros(2, 0), d)
+    assert p == Poly([2, -3, 1]) and schur.shape == (0, 0)
 
 
 def square_matrices(max_n=6):
     return st.integers(0, max_n).flatmap(
         lambda n: st.lists(st.lists(gaussians, min_size=n, max_size=n), min_size=n, max_size=n)
-    )
+    ).map(xl.exact_matrix)
 
 
 def _qq_i(c):
@@ -321,16 +341,6 @@ class TestExactLinalgAgainstSympy:
     @pytest.fixture(autouse=True)
     def _sympy(self):
         pytest.importorskip("sympy")
-
-    @SETTINGS
-    @given(square_matrices())
-    def test_det(self, a):
-        from sympy.polys.domains import QQ_I
-        from sympy.polys.matrices import DomainMatrix
-
-        n = len(a)
-        ref = DomainMatrix([[_qq_i(x) for x in row] for row in a], (n, n), QQ_I).det()
-        assert xl.det_exact(a) == _from_qq_i(ref)
 
     @SETTINGS
     @given(square_matrices().filter(lambda a: len(a) > 0))
@@ -364,7 +374,7 @@ class TestExactLinalgAgainstSympy:
         coeffs = [GR_ZERO] * (max((k for (k,) in dict(ref)), default=0) + 1)
         for (k,), z in dict(ref).items():
             coeffs[k] = _from_qq_i(z)
-        assert xl.pencil_det(p0, e) == Poly(coeffs)
+        assert xl.pencil_det(p0, xl.exact_matrix(e)) == Poly(coeffs)
 
 
 class TestAdjugateExpansion:
@@ -384,7 +394,7 @@ class TestAdjugateExpansion:
             adj = [[x + sk * y for x, y in zip(r0, r1)] for r0, r1 in zip(adj, mk)]
         shifted = [[(s if i == j else GR_ZERO) - a[i][j] for j in range(n)] for i in range(n)]
         ps = p(s)
-        assert xl.mat_mul(shifted, adj).tolist() == [
+        assert (xl.exact_matrix(shifted) @ xl.exact_matrix(adj)).tolist() == [
             [ps if i == j else GR_ZERO for j in range(n)] for i in range(n)
         ]
 

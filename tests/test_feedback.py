@@ -208,6 +208,13 @@ class TestSolveAlpha:
         assert plus == Fraction(1, 2) and minus == Fraction(2)
         assert plus != sol.raw and minus != sol.raw
 
+    def test_formula_refuses_a_vanishing_denominator(self):
+        # i*omega_plus = -1 and c = 1: the '+' denominator -1 + c vanishes
+        p = QuadPlantParams.from_coupling_product(GR(0, 1), 2)
+        with pytest.raises(UnsolvableError, match="denominator vanishes"):
+            unit_controller_alpha_formula(p, "+")
+        assert unit_controller_alpha_formula(p, "-") == 0
+
     def test_matches_xy_form_when_defined(self, plant, controller):
         from lqsys.feedback import _squeezing_xy
 

@@ -82,8 +82,7 @@ def test_mixed_operands_match_oracle(a, k):
 def test_conjugate_abs2_pow_match_oracle(a, n):
     z = gr(a)
     assert as_pair(z.conjugate()) == (a[0], -a[1])
-    assert z.abs2() == a[0] * a[0] + a[1] * a[1]
-    assert isinstance(z.abs2(), Fraction)
+    assert z * z.conjugate() == a[0] * a[0] + a[1] * a[1]
     want = (Fraction(1), Fraction(0))
     for _ in range(n):
         want = o_mul(want, a)

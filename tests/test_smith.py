@@ -157,6 +157,11 @@ class TestRationalMatrix:
         assert apply_operations(g, smf.left_ops, smf.right_ops) == smf.diagonal()
         assert smf.left_matrix() @ g @ smf.right_matrix() == smf.diagonal()
 
+    def test_text_form_is_one_line_per_row(self):
+        g = RationalMatrix([[RationalFn(S, S - 1), 0], [0, 1]])
+        assert str(g) == "[s/(s-1), 0]\n[0, 1]"
+        assert str(RationalMatrix([])) == ""
+
 
 class TestSmithMcMillan:
     def test_classical_pole_only(self, classical_pole_only):
@@ -219,6 +224,13 @@ class TestSmithMcMillan:
         for mat in (smf.left_matrix(), smf.right_matrix()):
             det = mat.determinant()
             assert det.is_constant() and not det.is_zero()
+
+    def test_determinant_swaps_rows_and_stops_at_a_zero_column(self):
+        # the first column's pivot sits in row 1: one swap flips the sign
+        assert RationalMatrix([[0, 1], [S, 0]]).determinant() == -S
+        assert RationalMatrix([[0, 1], [0, S]]).determinant() == 0
+        with pytest.raises(DimensionError):
+            RationalMatrix([[S, 1]]).determinant()
 
     def test_determinant_matches_diagonal_product(self, classical_hidden_mode):
         for ss_seed in ("fixture", 0, 2):
@@ -322,7 +334,9 @@ class TestRootExtractionProperties:
     def test_numeric_residual_is_roots_of_deflated(self, roots, tail):
         # rational roots times s^k + (tail) - 2, mostly without rational roots
         rest = Poly([c - (2 if i == 0 else 0) for i, c in enumerate(tail)] + [1])
-        p = Poly.from_roots(roots) * rest
+        p = rest
+        for r in roots:
+            p = p * Poly([-r, 1])
         exact, numeric = polynomial_roots_exact_first(p)
         deflated = p.monic()
         for r in exact:

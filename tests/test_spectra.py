@@ -161,6 +161,19 @@ class TestMultisetMatch:
             rep.matches([2.0, bad])
 
 
+class TestText:
+    def test_readme_quick_start(self):
+        from lqsys import build_state_space, invariant_zeros_pencil, passive_cavity
+
+        ss = build_state_space(passive_cavity(omega=1, kappa=2))
+        assert str(invariant_zeros_pencil(ss)) == "1-1i, 1+1i"
+
+    def test_empty_and_multiplicity(self):
+        assert str(SpectrumReport.from_values([], 1e-9, "test")) == "(empty)"
+        rep = SpectrumReport.from_values([2j, -1.0, -1.0], 1e-9, "test")
+        assert str(rep) == "-1 (x2), 2i"
+
+
 def test_zeros_all_methods_leave_scipy_optimize_unloaded():
     """Pencil, flat and theorem zeros of the cavity pair off one to one,
     so the CLI cross-check never needs the assignment solver."""
