@@ -27,31 +27,30 @@ from .errors import (
     SynthesisError,
     UnsolvableError,
 )
-from .feedback import (
-    AlphaSolution,
-    Beamsplitter,
-    FeedbackNetwork,
-    QuadPlantParams,
-    check_quadrature_duality,
-    closed_loop,
-    frequency_sweep,
-    matched_controller,
-    quadrature_transfer,
-    sensitivity,
-    sensitivity_functions,
-    solve_alpha_for_squeezing,
-    squeezing_residual,
-    synthesize_matched_controller,
-    unit_controller,
-    unit_controller_alpha_formula,
-)
-from .rational import GaussianRational, Poly, RationalFn
 
 
-# The state-space layers load on first use of one of their names (PEP 562),
-# so that a caller of the feedback layer alone, which needs none of them,
-# neither imports nor keeps them.
+# Every layer but errors loads on first use of one of its names (PEP 562),
+# so that a caller pays, in import time and memory, only for the layers it
+# uses: ``import lqsys`` loads neither numpy nor a single layer.
 _LAZY = {
+    "feedback": (
+        "AlphaSolution",
+        "Beamsplitter",
+        "FeedbackNetwork",
+        "QuadPlantParams",
+        "check_quadrature_duality",
+        "closed_loop",
+        "frequency_sweep",
+        "matched_controller",
+        "quadrature_transfer",
+        "sensitivity",
+        "sensitivity_functions",
+        "solve_alpha_for_squeezing",
+        "squeezing_residual",
+        "synthesize_matched_controller",
+        "unit_controller",
+        "unit_controller_alpha_formula",
+    ),
     "invertibility": (
         "InvertibilityReport",
         "classify_left_invertibility",
@@ -91,6 +90,11 @@ _LAZY = {
         "verify_inverse_identity",
         "with_lossless_modes",
     ),
+    "rational": (
+        "GaussianRational",
+        "Poly",
+        "RationalFn",
+    ),
     "smith": (
         "RationalMatrix",
         "SmithMcMillanForm",
@@ -122,7 +126,7 @@ __all__ = [name for name in globals() if not name.startswith("_")] + [*_LAZY, *_
 
 
 def __getattr__(name):
-    """The public name ``name`` of a state-space layer, or the layer itself,
+    """The public name ``name`` of a layer, or the layer itself,
     imported on first use and kept in this namespace."""
     if name in _LAZY:
         return _importlib.import_module(f".{name}", __name__)
@@ -135,7 +139,7 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *_HOME})
+    return sorted({*globals(), *_LAZY, *_HOME})
 
 
 __version__ = "0.1.0"

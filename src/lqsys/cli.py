@@ -4,6 +4,10 @@ Reads system-spec JSON files, dispatches the analyses, and prints a
 deterministic report in either human-readable text or machine JSON form.
 Exit codes are documented in --help and distinguish the failure classes
 so scripts can branch on them; each error class carries its own.
+
+Each command imports the layers it runs inside its body, so that a fresh
+``lqsys`` process compiles and loads only those: ``lqsys check`` loads no
+zero, Kalman or Smith layer, and ``lqsys feedback`` no state-space layer.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import feedback as fb
 from .errors import (
     DegenerateNetworkError,
     ExactnessError,
@@ -27,18 +30,7 @@ from .errors import (
     RealizabilityError,
     SpecFileError,
 )
-from .invertibility import classify_left_invertibility, inversion_witness
-from .kalman import check_imaginary_hidden_modes, invariant_zeros_via_kalman, kalman_decompose
-from .model import check_physical_realizability
-from .smith import smith_mcmillan, transfer_matrix_exact, zeros_poles_from_smf
-from .spectra import multiset_match
 from .specio import load_feedback_spec, load_system_spec
-from .zeros import (
-    invariant_zeros_flat,
-    invariant_zeros_pencil,
-    poles,
-    transmission_zeros,
-)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -160,29 +152,33 @@ def _spec_command(body):
 
 @_spec_command
 def cmd_check(ss, args, report):
+    from .model import check_physical_realizability
+
     rep = check_physical_realizability(ss, args.tol)
     report["result"] = rep.to_dict()
     return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
 
 
-# kind -> method -> zero computation; --method all runs them in this order
-_ZERO_METHODS = {
-    "invariant": {
-        "pencil": invariant_zeros_pencil,
-        "flat": invariant_zeros_flat,
-        "theorem": invariant_zeros_via_kalman,
-    },
-    "transmission": {
-        "pencil": transmission_zeros,
-        "smf": lambda ss, tol: transmission_zeros(transfer_matrix_exact(ss), tol),
-    },
-}
-
-
 @_spec_command
 def cmd_zeros(ss, args, report):
+    from .kalman import invariant_zeros_via_kalman
+    from .smith import transfer_matrix_exact
+    from .spectra import multiset_match
+    from .zeros import invariant_zeros_flat, invariant_zeros_pencil, transmission_zeros
+
     report["kind"] = args.kind
-    table = _ZERO_METHODS[args.kind]
+    # kind -> method -> zero computation; --method all runs them in this order
+    table = {
+        "invariant": {
+            "pencil": invariant_zeros_pencil,
+            "flat": invariant_zeros_flat,
+            "theorem": invariant_zeros_via_kalman,
+        },
+        "transmission": {
+            "pencil": transmission_zeros,
+            "smf": lambda ss, tol: transmission_zeros(transfer_matrix_exact(ss), tol),
+        },
+    }[args.kind]
     spectra = {}
     for method in (table if args.method == "all" else [args.method]):
         if method == "smf" and not ss.is_exact:
@@ -222,6 +218,9 @@ def cmd_zeros(ss, args, report):
 
 @_spec_command
 def cmd_poles(ss, args, report):
+    from .smith import transfer_matrix_exact
+    from .zeros import poles
+
     if args.exact and not ss.is_exact:
         raise ExactnessError("--exact requires exact input entries")
     pole_rep = poles(transfer_matrix_exact(ss) if args.exact else ss, args.tol)
@@ -231,6 +230,8 @@ def cmd_poles(ss, args, report):
 
 @_spec_command
 def cmd_smf(ss, args, report):
+    from .smith import smith_mcmillan, transfer_matrix_exact, zeros_poles_from_smf
+
     if not ss.is_exact:
         raise ExactnessError(
             "Smith-McMillan form needs exact input entries (use '3/4'-style "
@@ -248,6 +249,8 @@ def cmd_smf(ss, args, report):
 
 @_spec_command
 def cmd_kalman(ss, args, report):
+    from .kalman import check_imaginary_hidden_modes, kalman_decompose
+
     kal = kalman_decompose(ss, args.tol)
     hm = check_imaginary_hidden_modes(ss, args.tol, args.real_part_tol)
     report["result"] = kal.to_dict()
@@ -257,6 +260,8 @@ def cmd_kalman(ss, args, report):
 
 @_spec_command
 def cmd_invert(ss, args, report):
+    from .invertibility import classify_left_invertibility, inversion_witness
+
     rep = classify_left_invertibility(ss, args.tol)
     samples = [0.3 + 0.7j, 1.1 - 0.4j, 2.2 + 0.1j]
     witness = inversion_witness(ss, samples, max(args.tol, 1e-8))
@@ -277,6 +282,8 @@ def _parse_sweep(text):
 
 
 def cmd_feedback(args):
+    from . import feedback as fb
+
     plant, plant_raw = load_feedback_spec(args.plant)
     controller, controller_raw = load_feedback_spec(args.controller)
     report = {

@@ -169,10 +169,7 @@ _HALF = GaussianRational(Fraction(1, 2))
 def _factor(n, d) -> RationalFn:
     """(s + n)/(s + d) for real n != d: distinct roots make it reduced, and
     it is monic, so it is built without a gcd."""
-    fn = object.__new__(RationalFn)
-    object.__setattr__(fn, "num", Poly([n, GR_ONE]))
-    object.__setattr__(fn, "den", Poly([d, GR_ONE]))
-    return fn
+    return RationalFn._reduced(Poly([n, GR_ONE]), Poly([d, GR_ONE]))
 
 
 def quadrature_transfer(p: QuadPlantParams):

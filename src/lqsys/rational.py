@@ -758,6 +758,14 @@ class RationalFn:
     def of(cls, x):
         return x if isinstance(x, RationalFn) else cls(x)
 
+    @classmethod
+    def _reduced(cls, num, den):
+        """num/den for a pair already coprime with a monic den: no gcd."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "num", num)
+        object.__setattr__(fn, "den", den)
+        return fn
+
     def is_zero(self):
         return self.num.is_zero()
 
@@ -776,17 +784,18 @@ class RationalFn:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFn(-self.num, self.den)
+        return RationalFn._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, _RATIONAL_OPERANDS):
             return NotImplemented
-        return self + (-RationalFn.of(other))
+        o = RationalFn.of(other)
+        return RationalFn(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):
         if not isinstance(other, _RATIONAL_OPERANDS):
             return NotImplemented
-        return RationalFn.of(other) + (-self)
+        return RationalFn.of(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, _RATIONAL_OPERANDS):

@@ -25,8 +25,6 @@ import json
 from fractions import Fraction
 
 from .errors import DimensionError, SpecFileError
-from .feedback import QuadPlantParams
-from .model import QSystemParams, StateSpace, build_state_space
 from .rational import GaussianRational
 
 __all__ = [
@@ -87,6 +85,8 @@ def _load_json(path):
 def load_system_spec(path):
     """(StateSpace, raw JSON) of a system spec; the state space is exact
     only if every entry is."""
+    from .model import QSystemParams, StateSpace, build_state_space
+
     raw = _load_json(path)
     if not isinstance(raw, dict):
         raise SpecFileError("spec must be a JSON object")
@@ -129,6 +129,8 @@ def load_system_spec(path):
 
 
 def load_feedback_spec(path):
+    from .feedback import QuadPlantParams
+
     raw = _load_json(path)
     if not isinstance(raw, dict):
         raise SpecFileError("feedback spec must be a JSON object")

@@ -516,7 +516,7 @@ def test_error_exit_code_is_documented(capsys, monkeypatch, error, doc):
     def fail(*_):
         raise error
 
-    monkeypatch.setattr(cli, "check_physical_realizability", fail)
+    monkeypatch.setattr("lqsys.model.check_physical_realizability", fail)
     code, out, err = run(capsys, "check", SPEC_DIR / "gain_system.json")
     assert (code, out, err) == (want, "", f"error: {error}\n")
 

@@ -260,6 +260,17 @@ class TestMixedOperands:
         assert a * b == fa * fb
 
     @SETTINGS
+    @given(rational_fns, exact_values)
+    def test_subtraction_adds_the_negation_field_for_field(self, f, x):
+        def fields(h):
+            return h.num.coeffs, h.den.coeffs
+
+        assert fields(f - x) == fields(f + (-RationalFn.of(x)))
+        assert fields(x - f) == fields(RationalFn.of(x) + (-f))
+        assert fields(-(-f)) == fields(f)
+        assert fields(-f) == fields(RationalFn(-f.num, f.den))
+
+    @SETTINGS
     @given(exact_values, st.lists(exact_values, min_size=1, max_size=3))
     def test_products_with_object_arrays_commute(self, x, entries):
         arr = np.fromiter(entries, dtype=object, count=len(entries))
