@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import os
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (
     DegenerateNetworkError,
@@ -107,9 +107,9 @@ def _jsonable(obj):
         from .spectra import format_complex
 
         return format_complex(obj, 17)
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if isinstance(obj, numbers.Real) and hasattr(obj, "item"):
+        obj = obj.item()  # a numpy scalar (np.float32 is no float subclass)
+    if isinstance(obj, float) and not math.isfinite(obj):
         return _scalar_text(obj)  # "inf", "-inf" or "nan": JSON has no such number
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, float, str)):
         return obj
@@ -270,17 +270,6 @@ def cmd_invert(ss, args, report):
     return EXIT_OK
 
 
-def _parse_sweep(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ParameterError("--sweep wants from:to:points")
-    try:
-        lo, hi, pts = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as e:
-        raise ParameterError(f"bad --sweep value: {e}") from e
-    return lo, hi, pts
-
-
 def cmd_feedback(args):
     from . import feedback as fb
 
@@ -301,20 +290,17 @@ def cmd_feedback(args):
         "controller": fb.check_quadrature_duality(k_q, k_p),
     }
 
-    alpha = None
+    alpha = args.alpha
     if args.solve_alpha:
         sol = fb.solve_alpha_for_squeezing(plant, controller, args.solve_alpha)
         report["alpha_solution"] = sol.to_dict()
         report["alpha_solution"]["quadrature"] = args.solve_alpha
-        if sol.physical:
-            alpha = sol.alpha
-        else:
+        alpha = sol.alpha
+        if not sol.physical:
             report["warnings"].append(
                 f"solved alpha {sol.raw} is not a physical beamsplitter "
                 "(|alpha| > 1); no closed loop computed"
             )
-    elif args.alpha is not None:
-        alpha = Fraction(args.alpha)
 
     if args.synthesize:
         if alpha is None:
@@ -335,7 +321,7 @@ def cmd_feedback(args):
             report["warnings"].append(
                 "degenerate mirror: closed loop is identically 1 at both quadratures"
             )
-        report["alpha"] = str(Fraction(alpha))
+        report["alpha"] = str(alpha)
         report["closed_loop"] = {
             "T_q": str(t_q),
             "T_p": str(t_p),
@@ -346,13 +332,16 @@ def cmd_feedback(args):
             "p": str(fb.squeezing_residual(net, "p")),
         }
         if args.sweep:
-            lo, hi, pts = _parse_sweep(args.sweep)
-            rows = fb.frequency_sweep(net, lo, hi, pts)
+            rows = fb.frequency_sweep(net, *args.sweep)
             out = args.sweep_out or "-"
             if out == "-":
                 fb.write_sweep_csv(rows, sys.stdout)
             else:
-                with open(out, "w") as fh:
+                try:
+                    fh = open(out, "w")
+                except OSError as e:
+                    raise ParameterError(f"cannot write --sweep-out {out}: {e.strerror}") from e
+                with fh:
                     fb.write_sweep_csv(rows, fh)
                 report["sweep_csv"] = out
     elif args.sweep:
@@ -360,6 +349,61 @@ def cmd_feedback(args):
 
     emit(report, args.format)
     return EXIT_OK
+
+
+def fraction(text):
+    """The ``--alpha`` value: a rational such as 1/4."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as e:
+        raise ValueError(text) from e  # argparse reports a ValueError as a bad value
+
+
+def sweep(text):
+    """The ``--sweep`` value from:to:points as (from, to, points)."""
+    lo, hi, points = text.split(":")
+    return float(lo), float(hi), int(points)
+
+
+TOL = ("--tol", dict(type=float, default=1e-9, help="tolerance (default 1e-9)"))
+FORMAT = (
+    "--format",
+    dict(choices=("text", "json"), default="text",
+         help="report format (json is the machine format)"),
+)
+
+# The single-spec commands: name, help, runner, and the options that
+# --help lists before and after the shared --tol and --format.
+SYSTEM_COMMANDS = (
+    ("check", "physical-realizability residuals", cmd_check, (), ()),
+    ("zeros", "invariant or transmission zeros", cmd_zeros, (
+        ("--kind", dict(choices=("invariant", "transmission"), default="invariant")),
+        ("--method", dict(
+            choices=("pencil", "flat", "smf", "theorem", "all"),
+            default="pencil",
+            help=(
+                "pencil: Rosenbrock pencil eigenvalues; flat: eigenvalues of the "
+                "negated flat/sharp adjoint (realizable systems only); smf: exact "
+                "Smith-McMillan numerators (transmission, exact input); theorem: "
+                "Kalman observable/unobservable split (needs purely imaginary "
+                "hidden modes); all: cross-check every applicable method"
+            ),
+        )),
+    ), ()),
+    ("poles", "pole multiset of the transfer matrix", cmd_poles, (), (
+        ("--exact", dict(
+            action="store_true", help="require exact arithmetic; error on floating input",
+        )),
+    )),
+    ("smf", "exact Smith-McMillan form (exact input only)", cmd_smf, (), ()),
+    ("kalman", "four-block Kalman decomposition", cmd_kalman, (
+        ("--real-part-tol", dict(
+            type=float, default=1e-8,
+            help="|Re| threshold for 'purely imaginary' hidden modes (default 1e-8)",
+        )),
+    ), ()),
+    ("invert", "left-invertibility classification", cmd_invert, (), ()),
+)
 
 
 def build_parser():
@@ -376,69 +420,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, exact_flag=False):
-        p.add_argument("--tol", type=float, default=1e-9, help="tolerance (default 1e-9)")
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text",
-            help="report format (json is the machine format)",
-        )
-        if exact_flag:
-            p.add_argument(
-                "--exact", action="store_true",
-                help="require exact arithmetic; error on floating input",
-            )
-
-    p = sub.add_parser("check", help="physical-realizability residuals")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("zeros", help="invariant or transmission zeros")
-    p.add_argument("spec")
-    p.add_argument("--kind", choices=("invariant", "transmission"), default="invariant")
-    p.add_argument(
-        "--method",
-        choices=("pencil", "flat", "smf", "theorem", "all"),
-        default="pencil",
-        help=(
-            "pencil: Rosenbrock pencil eigenvalues; flat: eigenvalues of the "
-            "negated flat/sharp adjoint (realizable systems only); smf: exact "
-            "Smith-McMillan numerators (transmission, exact input); theorem: "
-            "Kalman observable/unobservable split (needs purely imaginary "
-            "hidden modes); all: cross-check every applicable method"
-        ),
-    )
-    common(p)
-    p.set_defaults(func=cmd_zeros)
-
-    p = sub.add_parser("poles", help="pole multiset of the transfer matrix")
-    p.add_argument("spec")
-    common(p, exact_flag=True)
-    p.set_defaults(func=cmd_poles)
-
-    p = sub.add_parser("smf", help="exact Smith-McMillan form (exact input only)")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=cmd_smf)
-
-    p = sub.add_parser("kalman", help="four-block Kalman decomposition")
-    p.add_argument("spec")
-    p.add_argument(
-        "--real-part-tol", type=float, default=1e-8,
-        help="|Re| threshold for 'purely imaginary' hidden modes (default 1e-8)",
-    )
-    common(p)
-    p.set_defaults(func=cmd_kalman)
-
-    p = sub.add_parser("invert", help="left-invertibility classification")
-    p.add_argument("spec")
-    common(p)
-    p.set_defaults(func=cmd_invert)
+    for name, help_text, run, before, after in SYSTEM_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("spec")
+        for flag, kwargs in (*before, TOL, FORMAT, *after):
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=run)
 
     p = sub.add_parser("feedback", help="SISO coherent feedback analysis")
     p.add_argument("plant", help="plant feedback-spec JSON")
     p.add_argument("controller", help="controller feedback-spec JSON")
-    p.add_argument("--alpha", help="beamsplitter parameter (rational, e.g. 1/4)")
+    p.add_argument(
+        "--alpha", type=fraction, help="beamsplitter parameter (rational, e.g. 1/4)"
+    )
     p.add_argument(
         "--solve-alpha", choices=("q", "p"), default=None,
         help="solve the ideal-squeezing condition for alpha at this quadrature",
@@ -447,9 +441,9 @@ def build_parser():
         "--synthesize", choices=("+", "-", "plus", "minus"), default=None,
         help="synthesize a matched controller ('-' targets q, '+' targets p)",
     )
-    p.add_argument("--sweep", help="frequency sweep from:to:points (log spaced)")
+    p.add_argument("--sweep", type=sweep, help="frequency sweep from:to:points (log spaced)")
     p.add_argument("--sweep-out", help="CSV output path ('-' for stdout)")
-    common(p)
+    p.add_argument(FORMAT[0], **FORMAT[1])
     p.set_defaults(func=cmd_feedback)
 
     return parser

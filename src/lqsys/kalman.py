@@ -61,7 +61,7 @@ def _intersect(q1, q2, tol):
     a stable function of the tolerance.  The re-based columns are
     orthonormal, so their rank takes floor 1.
     """
-    u, sv, _ = np.linalg.svd(q1.conj().T @ q2, full_matrices=False)
+    _, u, sv, _ = svd_rank(q1.conj().T @ q2, tol, floor=1, vectors="u")
     near = sv >= 1 - 100 * tol
     ambiguous = (~near) & (sv >= 1 - max(1e-4, 1e4 * tol))
     if np.any(ambiguous):

@@ -38,6 +38,7 @@ __all__ = [
     "is_doubled_up",
     "signature_j",
     "symplectic_j",
+    "adjoint",
     "flat_adjoint",
     "sharp_adjoint",
     "frozen_eigvals",
@@ -123,14 +124,21 @@ def symplectic_j(k):
     return np.block([[z, i], [-i, z]])
 
 
+def adjoint(x, representation):
+    """J_r X^H J_k^T for X of shape 2k x 2r: the flat adjoint, J = signature_j,
+    in the annihilation representation, and the sharp adjoint, J =
+    symplectic_j, in quadrature.  Each product with J is exact."""
+    k, r = _require_even(x)
+    j = signature_j if representation == "annihilation" else symplectic_j
+    return j(r) @ x.conj().T @ j(k).T
+
+
 def flat_adjoint(x):
     """J_r X^H J_k for X of shape 2k x 2r.
 
     Involutive, and (XY)^b = Y^b X^b on conformable even-sized matrices.
     """
-    x = as_matrix(x)
-    k, r = _require_even(x)
-    return signature_j(r) @ x.conj().T @ signature_j(k)
+    return adjoint(as_matrix(x), "annihilation")
 
 
 def sharp_adjoint(x):
@@ -143,9 +151,7 @@ def sharp_adjoint(x):
     x = np.atleast_2d(np.asarray(x))
     if np.iscomplexobj(x) and np.max(np.abs(x.imag)) > 0:
         raise ParameterError("sharp adjoint is defined for real matrices")
-    x = as_matrix(x).real
-    k, r = _require_even(x)
-    return symplectic_j(r) @ x.T @ symplectic_j(k).T
+    return adjoint(as_matrix(x).real, "quadrature")
 
 
 def frobenius(x):

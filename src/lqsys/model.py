@@ -40,14 +40,12 @@ from .errors import (
     RealizabilityError,
 )
 from .linalg import (
+    adjoint,
     as_matrix,
     doubled_up,
-    flat_adjoint,
     frobenius,
     frozen_eigvals,
     is_doubled_up,
-    sharp_adjoint,
-    symplectic_j,
 )
 from .rational import GR_ONE, GR_ZERO, GaussianRational
 from .spectra import format_complex
@@ -362,20 +360,16 @@ def check_physical_realizability(ss: StateSpace, tol=1e-10) -> RealizabilityRepo
 
 
 def _realizability_residuals(ss):
+    rep = ss.representation
+    a, b, c, d = (ss.A, ss.B, ss.C, ss.D) if rep == "annihilation" else ss.real_matrices()
+    c_adj = adjoint(c, rep)
     # residuals of huge entries overflow to inf or nan, which fail the check
     with np.errstate(over="ignore", invalid="ignore"):
-        if ss.representation == "annihilation":
-            cflat = flat_adjoint(ss.C)
-            return {
-                "drift": frobenius(ss.A + flat_adjoint(ss.A) + cflat @ ss.C),
-                "input": frobenius(ss.B + cflat @ ss.D),
-                "unitary_d": frobenius(ss.D.conj().T @ ss.D - np.eye(ss.field_dim)),
-            }
-        a, b, c, d = ss.real_matrices()
+        noise = c_adj @ c if rep == "annihilation" else b @ adjoint(b, rep)
         return {
-            "drift": frobenius(a + sharp_adjoint(a) + b @ sharp_adjoint(b)),
-            "input": frobenius(b + sharp_adjoint(c) @ d),
-            "unitary_d": frobenius(d.T @ d - np.eye(ss.field_dim)),
+            "drift": frobenius(a + adjoint(a, rep) + noise),
+            "input": frobenius(b + c_adj @ d),
+            "unitary_d": frobenius(d.conj().T @ d - np.eye(ss.field_dim)),
         }
 
 
@@ -465,13 +459,9 @@ def dual_adjoint(x, representation):
     """The representation-appropriate adjoint of a transfer-matrix value:
     J X^H J in the annihilation picture, JJ X^H JJ^T in quadrature."""
     x = as_matrix(x)
-    k = x.shape[0] // 2
     if x.shape[0] != x.shape[1] or x.shape[0] % 2:
         raise DimensionError("dual adjoint needs an even square matrix")
-    if representation == "annihilation":
-        return flat_adjoint(x)
-    jj = symplectic_j(k)
-    return jj @ x.conj().T @ jj.T
+    return adjoint(x, representation)
 
 
 @dataclass(frozen=True)

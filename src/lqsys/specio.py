@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import DimensionError, SpecFileError
+from .errors import DimensionError, LqsysError, SpecFileError
 from .rational import GaussianRational
 
 __all__ = [
@@ -74,82 +74,80 @@ def parse_matrix(rows, field):
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as e:
         raise SpecFileError(f"spec file not found: {path}") from e
     except json.JSONDecodeError as e:
         raise SpecFileError(f"invalid JSON in {path}: line {e.lineno}: {e.msg}") from e
+    except (OSError, ValueError, RecursionError) as e:
+        # ValueError: not UTF-8, or an integer beyond Python's digit limit;
+        # RecursionError: arrays nested deeper than the decoder's stack
+        raise SpecFileError(f"cannot read spec file {path}: {e}") from e
 
 
 def load_system_spec(path):
     """(StateSpace, raw JSON) of a system spec; the state space is exact
-    only if every entry is."""
-    from .model import QSystemParams, StateSpace, build_state_space
-
+    only if every entry is.  The model layer loads only once the JSON,
+    the representation and the fields have passed their checks."""
     raw = _load_json(path)
     if not isinstance(raw, dict):
         raise SpecFileError("spec must be a JSON object")
     rep = raw.get("representation")
+    if rep not in ("params", "annihilation", "quadrature"):
+        raise SpecFileError(
+            f"representation must be 'params', 'annihilation' or 'quadrature', "
+            f"got {rep!r}",
+            field="representation",
+        )
+    keys = ("A", "B", "C", "D")
     if rep == "params":
-        keys = ("omega_minus", "omega_plus", "c_minus", "c_plus")
-        missing = [k for k in ("n", "m") + keys if k not in raw]
-        if missing:
-            raise SpecFileError(f"missing fields: {', '.join(missing)}")
-        mats = [parse_matrix(raw[k], k) for k in keys]
+        keys = ("n", "m", "omega_minus", "omega_plus", "c_minus", "c_plus")
+    missing = [k for k in keys if k not in raw]
+    if missing:
+        raise SpecFileError(f"missing fields: {', '.join(missing)}")
+    mats = [parse_matrix(raw[k], k) for k in keys[-4:]]  # the four matrices
+    from .model import QSystemParams, StateSpace, build_state_space
+
+    if rep != "params":
         try:
-            params = QSystemParams.create(*mats)
-        except Exception as e:
-            raise SpecFileError(f"invalid parameters: {e}") from e
-        if params.n != raw["n"] or params.m != raw["m"]:
-            raise SpecFileError(
-                f"declared (n, m) = ({raw['n']}, {raw['m']}) but matrices give "
-                f"({params.n}, {params.m})"
-            )
-        try:
-            return build_state_space(params), raw
-        except DimensionError as e:
-            raise SpecFileError(f"invalid parameters: {e}") from e
-    if rep in ("annihilation", "quadrature"):
-        keys = ("A", "B", "C", "D")
-        missing = [k for k in keys if k not in raw]
-        if missing:
-            raise SpecFileError(f"missing fields: {', '.join(missing)}")
-        mats = [parse_matrix(raw[k], k) for k in keys]
-        try:
-            ss = StateSpace.from_matrices(*mats, representation=rep)
+            return StateSpace.from_matrices(*mats, representation=rep), raw
         except Exception as e:
             raise SpecFileError(f"invalid state space: {e}") from e
-        return ss, raw
-    raise SpecFileError(
-        f"representation must be 'params', 'annihilation' or 'quadrature', "
-        f"got {rep!r}",
-        field="representation",
-    )
+    try:
+        params = QSystemParams.create(*mats)
+    except Exception as e:
+        raise SpecFileError(f"invalid parameters: {e}") from e
+    if params.n != raw["n"] or params.m != raw["m"]:
+        raise SpecFileError(
+            f"declared (n, m) = ({raw['n']}, {raw['m']}) but matrices give "
+            f"({params.n}, {params.m})"
+        )
+    try:
+        return build_state_space(params), raw
+    except DimensionError as e:
+        raise SpecFileError(f"invalid parameters: {e}") from e
 
 
 def load_feedback_spec(path):
-    from .feedback import QuadPlantParams
-
+    """(QuadPlantParams, raw JSON) of a feedback spec."""
     raw = _load_json(path)
     if not isinstance(raw, dict):
         raise SpecFileError("feedback spec must be a JSON object")
     if "omega_plus" not in raw:
         raise SpecFileError("missing field omega_plus")
-    w = GaussianRational.of(parse_entry(raw["omega_plus"], "omega_plus"))
+    if "c_product" in raw:
+        keys = ("omega_plus", "c_product")
+    elif "c_q" in raw and "c_p" in raw:
+        keys = ("omega_plus", "c_q", "c_p")
+    else:
+        raise SpecFileError("need either c_product or both c_q and c_p")
+    from .feedback import QuadPlantParams
+
+    entries = [parse_entry(raw[k], k) for k in keys]
+    build = QuadPlantParams.create if len(keys) == 3 else QuadPlantParams.from_coupling_product
     try:
-        if "c_product" in raw:
-            cprod = GaussianRational.of(parse_entry(raw["c_product"], "c_product"))
-            params = QuadPlantParams.from_coupling_product(w, cprod)
-        elif "c_q" in raw and "c_p" in raw:
-            cq, cp = (parse_entry(raw[k], k) for k in ("c_q", "c_p"))
-            params = QuadPlantParams.create(
-                w, GaussianRational.of(cq), GaussianRational.of(cp)
-            )
-        else:
-            raise SpecFileError("need either c_product or both c_q and c_p")
-    except SpecFileError:
-        raise
-    except Exception as e:
+        params = build(*entries)
+    except (LqsysError, ArithmeticError, ValueError) as e:
         raise SpecFileError(f"invalid feedback parameters: {e}") from e
     return params, raw

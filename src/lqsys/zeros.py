@@ -37,7 +37,7 @@ import numpy as np
 from . import exactlinalg as xl
 from .errors import DimensionError, NumericalError, ParameterError
 from .kalman import minimal_realization
-from .linalg import flat_adjoint, frozen_eigvals, rank_at_tolerance, sharp_adjoint, svd_rank
+from .linalg import adjoint, frozen_eigvals, rank_at_tolerance, svd_rank
 from .model import StateSpace, frequency_response, require_physical_realizability
 from .rational import Poly
 from .smith import RationalMatrix, smith_mcmillan, zeros_poles_from_smf
@@ -123,11 +123,8 @@ def _adjoint_spectrum(ss: StateSpace):
     array, computed once per system."""
 
     def compute():
-        if ss.representation == "annihilation":
-            neg_adj = -flat_adjoint(ss.A)
-        else:
-            neg_adj = -sharp_adjoint(ss.A.real)
-        return frozen_eigvals(neg_adj)
+        a = ss.A if ss.representation == "annihilation" else ss.A.real
+        return frozen_eigvals(-adjoint(a, ss.representation))
 
     return ss.memoized("adjoint_spectrum", compute)
 

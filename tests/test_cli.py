@@ -521,22 +521,146 @@ def test_error_exit_code_is_documented(capsys, monkeypatch, error, doc):
     assert (code, out, err) == (want, "", f"error: {error}\n")
 
 
+def child_env():
+    """The environment of a child interpreter that imports this checkout's lqsys."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_closed_reader_exits_with_its_code_and_no_traceback(capsys):
     """A reader that closed the pipe before the report is written (as in
     ``lqsys zeros ... | head`` when head has already exited)."""
     assert "broken pipe" in documented_exit_codes(capsys)[EXIT_BROKEN_PIPE]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     read, write = os.pipe()
     os.close(read)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "lqsys.cli", "zeros", str(SPEC_DIR / "dpa.json"),
              "--method", "all"],
-            stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            stdout=write, stderr=subprocess.PIPE, text=True, env=child_env(),
         )
     finally:
         os.close(write)
     assert proc.returncode == EXIT_BROKEN_PIPE
     assert "Traceback" not in proc.stderr
+
+
+PLANT = str(SPEC_DIR / "feedback_plant.json")
+CONTROLLER = str(SPEC_DIR / "feedback_controller.json")
+FLOAT_SPEC = str(SPEC_DIR / "dpa.json")
+EXACT_SPEC = str(SPEC_DIR / "gain_system.json")
+ONE = '[[[1, 0]]]'
+# spec files the cases below name as {tmp}/<name>
+BAD_SPECS = {
+    "boolean.json": '{"representation": "annihilation", "A": [[[true, 0]]],'
+                    f' "B": {ONE}, "C": {ONE}, "D": {ONE}}}',
+    "not_a_list.json": f'{{"representation": "annihilation", "A": 5, "B": {ONE},'
+                       f' "C": {ONE}, "D": {ONE}}}',
+    "not_a_pair.json": f'{{"representation": "annihilation", "A": [[[1]]], "B": {ONE},'
+                       f' "C": {ONE}, "D": {ONE}}}',
+    "null_component.json": '{"representation": "annihilation", "A": [[[null, 0]]],'
+                           f' "B": {ONE}, "C": {ONE}, "D": {ONE}}}',
+    "not_hermitian.json": '{"representation": "params", "n": 1, "m": 1,'
+                          ' "omega_minus": [[[0, 1]]], "omega_plus": [[[0, 0]]],'
+                          ' "c_minus": [[[1, 0]]], "c_plus": [[[0, 0]]]}',
+    "not_an_object.json": "[1, 2]",
+    "missing.json": '{"representation": "quadrature", "A": []}',
+    "polar.json": '{"representation": "polar"}',
+    "not_utf8.json": b'{"representation": "caf\xe9"}',
+    "long_integer.json": '{"representation": "params", "n": %s}' % ("1" * 5000),
+    "deep.json": "[" * 100_000 + "]" * 100_000,
+    "complex_coupling.json": '{"omega_plus": [0, 1], "c_q": [1, 1], "c_p": [1, 0]}',
+    "no_couplings.json": '{"omega_plus": [0, 1]}',
+    "infinite_pump.json": '{"omega_plus": [0, Infinity], "c_product": [2, 0]}',
+    "overflowing_pump.json": '{"omega_plus": [0, 1e400], "c_product": [2, 0]}',
+    "far_plant.json": '{"omega_plus": [0, -2], "c_product": [1, 0]}',
+    "far_controller.json": '{"omega_plus": [0, 1], "c_product": [1, 0]}',
+}
+FEEDBACK = ["feedback", PLANT, CONTROLLER]
+# id -> (argv, exit code, a phrase of the error line, or of stdout on exit 0)
+BOUNDARY_CASES = {
+    "smf-method-on-float-spec": (["zeros", FLOAT_SPEC, "--method", "smf"], 4,
+                                 "needs exact input"),
+    "smf-method-for-invariant-zeros": (
+        ["zeros", EXACT_SPEC, "--kind", "invariant", "--method", "smf"], 2,
+        "does not apply to invariant zeros"),
+    "synthesize-without-alpha": (FEEDBACK + ["--synthesize", "minus"], 2,
+                                 "--synthesize needs --alpha"),
+    "sweep-without-closed-loop": (FEEDBACK + ["--sweep", "1:2:3"], 2,
+                                  "--sweep needs a closed loop"),
+    "unphysical-solved-alpha": (
+        ["feedback", "{tmp}/far_plant.json", "{tmp}/far_controller.json",
+         "--solve-alpha", "q"], 0, "solved alpha -9/5 is not a physical beamsplitter"),
+    "boolean-component": (["check", "{tmp}/boolean.json"], 3, "booleans are not numbers"),
+    "matrix-not-a-list": (["check", "{tmp}/not_a_list.json"], 3, "list of rows"),
+    "entry-not-a-pair": (["check", "{tmp}/not_a_pair.json"], 3, "[re, im] pair"),
+    "null-component": (["check", "{tmp}/null_component.json"], 3,
+                       "component must be number or 'p/q' string"),
+    "params-not-hermitian": (["check", "{tmp}/not_hermitian.json"], 3,
+                             "omega_minus must be Hermitian"),
+    "spec-not-an-object": (["check", "{tmp}/not_an_object.json"], 3, "JSON object"),
+    "feedback-spec-not-an-object": (["feedback", "{tmp}/not_an_object.json", CONTROLLER],
+                                    3, "feedback spec must be a JSON object"),
+    "feedback-no-pump": (["feedback", PLANT, "{tmp}/polar.json"], 3,
+                         "missing field omega_plus"),
+    "missing-fields": (["check", "{tmp}/missing.json"], 3, "missing fields: B, C, D"),
+    "unknown-representation": (["check", "{tmp}/polar.json"], 3,
+                               "representation must be"),
+    "feedback-c_q-c_p-form": (["feedback", "{tmp}/complex_coupling.json", CONTROLLER],
+                              3, "c_q must be real or purely imaginary"),
+    "feedback-no-couplings": (["feedback", PLANT, "{tmp}/no_couplings.json"], 3,
+                              "need either c_product"),
+    "alpha-not-a-number": (FEEDBACK + ["--alpha", "abc"], 2, "invalid fraction value"),
+    "alpha-1/0": (FEEDBACK + ["--alpha", "1/0"], 2, "invalid fraction value"),
+    "alpha-nan": (FEEDBACK + ["--alpha", "nan"], 2, "invalid fraction value"),
+    "alpha-inf": (FEEDBACK + ["--alpha", "inf"], 2, "invalid fraction value"),
+    "sweep-not-three-fields": (FEEDBACK + ["--alpha", "1/4", "--sweep", "1:2"], 2,
+                               "invalid sweep value"),
+    "spec-is-a-directory": (["check", str(SPEC_DIR)], 3, "Is a directory"),
+    "spec-not-utf8": (["check", "{tmp}/not_utf8.json"], 3, "can't decode"),
+    "integer-beyond-digit-limit": (["check", "{tmp}/long_integer.json"], 3,
+                                   "integer string conversion"),
+    "arrays-nested-too-deep": (["check", "{tmp}/deep.json"], 3, "recursion depth"),
+    "infinite-entry": (["feedback", "{tmp}/infinite_pump.json", CONTROLLER], 3,
+                       "invalid feedback parameters"),
+    "entry-beyond-float-range": (["feedback", "{tmp}/overflowing_pump.json", CONTROLLER],
+                                 3, "invalid feedback parameters"),
+    "sweep-out-missing-directory": (
+        FEEDBACK + ["--alpha", "1/4", "--sweep", "1:2:3", "--sweep-out",
+                    "{tmp}/no/such/dir.csv"], 2, "No such file or directory"),
+}
+
+
+def in_process(argv):
+    try:
+        return main(argv)
+    except SystemExit as e:  # argparse refuses a malformed value
+        return e.code
+
+
+def fresh_process(argv):
+    proc = subprocess.run([sys.executable, "-m", "lqsys.cli", *argv],
+                          capture_output=True, text=True, env=child_env())
+    print(proc.stdout, end="")
+    print(proc.stderr, end="", file=sys.stderr)
+    return proc.returncode
+
+
+@pytest.mark.parametrize("runner", [in_process, fresh_process])
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_input_boundary(capsys, tmp_path, case, runner):
+    """Malformed input and refused requests exit with their code and one
+    ``error:`` line, never a traceback; a non-physical solved alpha is a
+    warning."""
+    for name, text in BAD_SPECS.items():
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    argv, want, phrase = BOUNDARY_CASES[case]
+    code = runner([a.format(tmp=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == want and "Traceback" not in err, err
+    if want == EXIT_OK:
+        assert not err and phrase in out
+    else:
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert phrase in line

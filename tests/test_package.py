@@ -14,19 +14,21 @@ from lqsys.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 SPECS = ROOT / "specs"
-# runs the CLI on argv and names the lqsys modules it loaded on stderr,
-# after the report and also when argparse exits
+# runs the CLI on argv and names the lqsys modules it loaded, and numpy if
+# it did, on stderr, after the report and also when argparse exits
 CHILD = """\
 import sys
 from lqsys.cli import main
 try:
     sys.exit(main())
 finally:
-    print(*sorted(m for m in sys.modules if m.startswith("lqsys")), file=sys.stderr)
+    print(*sorted(m for m in sys.modules if m.startswith("lqsys") or m == "numpy"),
+          file=sys.stderr)
 """
 # what importing the CLI loads: its spec reader needs the exact scalars
 CLI = {"lqsys", "lqsys.cli", "lqsys.errors", "lqsys.rational", "lqsys.specio"}
-STATE_SPACE = CLI | {"lqsys.exactlinalg", "lqsys.linalg", "lqsys.model", "lqsys.spectra"}
+STATE_SPACE = CLI | {
+    "numpy", "lqsys.exactlinalg", "lqsys.linalg", "lqsys.model", "lqsys.spectra"}
 ZEROS = STATE_SPACE | {"lqsys.kalman", "lqsys.smith", "lqsys.zeros"}
 # argv after the command name -> the lqsys modules a fresh run loads
 COMMANDS = {
@@ -39,7 +41,7 @@ COMMANDS = {
     "feedback": (
         ["feedback_plant.json", "feedback_controller.json", "--solve-alpha", "q",
          "--sweep", "1e-2:1e1:4"],
-        CLI | {"lqsys.feedback"},
+        CLI | {"numpy", "lqsys.feedback"},
     ),
 }
 
@@ -77,6 +79,12 @@ def test_fresh_command_loads_only_its_layers(capsys, command):
 def test_help_loads_no_layer():
     code, out, err = fresh(["--help"])
     assert code == 0 and "exit codes:" in out
+    assert set(err[-1].split()) == CLI
+
+
+def test_missing_spec_loads_no_layer():
+    code, out, err = fresh(["check", "nope.json"])
+    assert code == 3 and not out and err[0] == "error: spec file not found: nope.json"
     assert set(err[-1].split()) == CLI
 
 
