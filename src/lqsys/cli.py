@@ -359,13 +359,21 @@ def fraction(text):
         raise ValueError(text) from e  # argparse reports a ValueError as a bad value
 
 
+def tolerance(text):
+    """A ``--tol`` or ``--real-part-tol`` value: a finite float, 0 or more."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise ValueError(text)  # NaN fails both comparisons
+    return value
+
+
 def sweep(text):
     """The ``--sweep`` value from:to:points as (from, to, points)."""
     lo, hi, points = text.split(":")
     return float(lo), float(hi), int(points)
 
 
-TOL = ("--tol", dict(type=float, default=1e-9, help="tolerance (default 1e-9)"))
+TOL = ("--tol", dict(type=tolerance, default=1e-9, help="tolerance (default 1e-9)"))
 FORMAT = (
     "--format",
     dict(choices=("text", "json"), default="text",
@@ -398,7 +406,7 @@ SYSTEM_COMMANDS = (
     ("smf", "exact Smith-McMillan form (exact input only)", cmd_smf, (), ()),
     ("kalman", "four-block Kalman decomposition", cmd_kalman, (
         ("--real-part-tol", dict(
-            type=float, default=1e-8,
+            type=tolerance, default=1e-8,
             help="|Re| threshold for 'purely imaginary' hidden modes (default 1e-8)",
         )),
     ), ()),

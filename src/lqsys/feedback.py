@@ -421,12 +421,16 @@ def sensitivity(net: FeedbackNetwork, s) -> tuple:
     return tuple(vals)
 
 
+MAX_SWEEP_POINTS = 10**6  # checked before np.logspace allocates the grid
+
+
 def frequency_sweep(net: FeedbackNetwork, w_from, w_to, points):
-    """Rows (omega, |T_q|, |T_p|, |S_q|, |S_p|) at log-spaced omega."""
-    if points < 1:
-        raise ParameterError("sweep needs at least one point")
-    if w_from <= 0 or w_to <= 0:
-        raise ParameterError("sweep endpoints must be positive frequencies")
+    """Rows (omega, |T_q|, |T_p|, |S_q|, |S_p|) at log-spaced omega; both
+    ends finite and positive, 1 <= points <= MAX_SWEEP_POINTS."""
+    if not 1 <= points <= MAX_SWEEP_POINTS:
+        raise ParameterError(f"sweep needs 1 to {MAX_SWEEP_POINTS} points, got {points}")
+    if not (0 < w_from < math.inf and 0 < w_to < math.inf):  # NaN fails too
+        raise ParameterError("sweep endpoints must be positive finite frequencies")
     ts, ss = _loop(net, True, True)
     fns = ts + ss
     ws = np.logspace(math.log10(w_from), math.log10(w_to), points).tolist()

@@ -131,8 +131,8 @@ def kalman_decompose(ss: StateSpace, tol=1e-9) -> KalmanReport:
     """Four-block decomposition of (A, B, C) with orthonormal bases per
     block; works for any realization, quantum or classical.
 
-    Quadrature systems are processed in real arithmetic so the minimal
-    block stays a real (quadrature) realization.
+    Quadrature systems are stored real, so they are processed in real
+    arithmetic and the minimal block stays a real (quadrature) realization.
 
     The report is memoized on ``ss`` per ``tol``, so poles, transmission
     zeros, theorem zeros, the pole-zero mirror and the invertibility
@@ -156,11 +156,7 @@ def _decompose_checked(ss, tol):
 
 
 def _decompose(ss, tol):
-    dtype = float if ss.representation == "quadrature" else complex
-    a = ss.A.real.astype(float) if dtype is float else ss.A.astype(complex)
-    b = ss.B.real.astype(float) if dtype is float else ss.B.astype(complex)
-    c = ss.C.real.astype(float) if dtype is float else ss.C.astype(complex)
-    ns = ss.state_dim
+    a, b, c, ns = ss.A, ss.B, ss.C, ss.state_dim
 
     ctrb = range_basis(_krylov(a, b), tol)
     unob = null_space_basis(_krylov(a.conj().T, c.conj().T).conj().T, tol)
@@ -192,7 +188,7 @@ def _decompose(ss, tol):
         A=blocks[1],
         B=b_t[s_co, :],
         C=c_t[:, s_co],
-        D=ss.D.real.astype(float) if dtype is float else ss.D.astype(complex),
+        D=ss.D,
         representation=ss.representation,
         exact=None,
     )

@@ -180,6 +180,12 @@ class StateSpace:
     doubled structure rather than here.  ``exact`` carries GaussianRational
     copies of the four matrices when the model was built from exact inputs.
 
+    The representation fixes the array form: A, B, C, D are complex128 in
+    the annihilation representation and float64 in quadrature, whatever
+    the input.  An unknown representation raises ParameterError, and so
+    does a quadrature matrix that is not real: exactly for exact entries,
+    beyond 1e-12 in an imaginary part (else dropped) for float ones.
+
     The four arrays, and the exact ones, are private read-only copies: the
     caller's arrays stay untouched, and writing into ``A``, ``B``, ``C``,
     ``D`` or an array of ``exact`` raises ValueError.  Because the matrices
@@ -198,12 +204,26 @@ class StateSpace:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("A", "B", "C", "D"):
-            object.__setattr__(self, name, np.array(getattr(self, name)))
-        if self.exact is not None:
-            exact = {k: np.array(x, dtype=object) for k, x in self.exact.items()}
+        if self.representation not in ("annihilation", "quadrature"):
+            raise ParameterError(f"unknown representation {self.representation!r}")
+        exact = self.exact
+        if exact is not None:
+            exact = {k: np.array(x, dtype=object) for k, x in exact.items()}
             object.__setattr__(self, "exact", exact)
-        for arr in (self.A, self.B, self.C, self.D, *(self.exact or {}).values()):
+        for name in ("A", "B", "C", "D"):
+            x = np.asarray(getattr(self, name))
+            arr = xl.to_numpy(x)  # a copy, rounded for exact entries
+            if self.representation == "quadrature":
+                x = x if exact is None else exact[name]
+                if x.dtype == object:
+                    real = (x == x.conj()).all()
+                else:  # a float or int array is real by its dtype; NaN is not
+                    real = not np.iscomplexobj(x) or (np.abs(x.imag) <= 1e-12).all()
+                if not real:
+                    raise ParameterError(f"quadrature matrices must be real; {name} is not")
+                arr = arr.real.copy()
+            object.__setattr__(self, name, arr)
+        for arr in (self.A, self.B, self.C, self.D, *(exact or {}).values()):
             arr.setflags(write=False)
 
     @classmethod
@@ -212,8 +232,6 @@ class StateSpace:
         b, b_x = _ingest(B, "B")
         c, c_x = _ingest(C, "C")
         d, d_x = _ingest(D, "D")
-        if representation not in ("annihilation", "quadrature"):
-            raise ParameterError(f"unknown representation {representation!r}")
         ns = a.shape[0]
         nf = d.shape[0]
         if a.shape != (ns, ns) or d.shape != (nf, nf):
@@ -225,18 +243,6 @@ class StateSpace:
                 f"B must be {ns}x{nf} and C {nf}x{ns}, "
                 f"got {b.shape} and {c.shape}"
             )
-        if representation == "quadrature":
-            for name, mat, mat_x in (
-                ("A", a, a_x), ("B", b, b_x), ("C", c, c_x), ("D", d, d_x)
-            ):
-                if mat_x is not None:
-                    real = all(x.is_real() for row in mat_x for x in row)
-                else:
-                    real = not mat.size or np.max(np.abs(mat.imag)) <= 1e-12
-                if not real:
-                    raise ParameterError(
-                        f"quadrature matrices must be real; {name} is not"
-                    )
         exact = None
         if all(x is not None for x in (a_x, b_x, c_x, d_x)):
             exact = {"A": a_x, "B": b_x, "C": c_x, "D": d_x}
@@ -276,12 +282,6 @@ class StateSpace:
 
         return self.memoized("eigenvalues", lambda: frozen_eigvals(self.A))
 
-    def real_matrices(self):
-        """(A, B, C, D) as real arrays; only valid for quadrature systems."""
-        if self.representation != "quadrature":
-            raise ParameterError("real_matrices needs a quadrature system")
-        return self.A.real, self.B.real, self.C.real, self.D.real
-
 
 def build_state_space(params: QSystemParams) -> StateSpace:
     """Construct the annihilation-representation quadruple from physical
@@ -319,8 +319,7 @@ def build_state_space(params: QSystemParams) -> StateSpace:
         "D": np.where(np.eye(2 * m, dtype=bool), one, zero),
     }
     return StateSpace(
-        **{k: xl.to_numpy(x) for k, x in mats.items()},
-        representation="annihilation", exact=mats if params.is_exact else None,
+        **mats, representation="annihilation", exact=mats if params.is_exact else None
     )
 
 
@@ -361,7 +360,7 @@ def check_physical_realizability(ss: StateSpace, tol=1e-10) -> RealizabilityRepo
 
 def _realizability_residuals(ss):
     rep = ss.representation
-    a, b, c, d = (ss.A, ss.B, ss.C, ss.D) if rep == "annihilation" else ss.real_matrices()
+    a, b, c, d = ss.A, ss.B, ss.C, ss.D
     c_adj = adjoint(c, rep)
     # residuals of huge entries overflow to inf or nan, which fail the check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -419,9 +418,7 @@ def to_quadrature(ss: StateSpace) -> StateSpace:
             )
     quad = {k: _quadrature_blocks(x) for k, x in mats.items()}
     return StateSpace(
-        **{k: xl.to_numpy(x).real for k, x in quad.items()},
-        representation="quadrature",
-        exact=quad if ss.is_exact else None,
+        **quad, representation="quadrature", exact=quad if ss.is_exact else None
     )
 
 
@@ -442,17 +439,14 @@ def frequency_response(ss: StateSpace, s):
     sweep over many points computes them once.
     """
     s = complex(s)
-    if ss.A.shape[0]:
+    if ss.state_dim:
         eigs = ss.eigenvalues()
         dist = np.abs(eigs - s)
         k = int(np.argmin(dist))
         if dist[k] <= 1e-9 * max(1.0, abs(eigs[k])):
             raise PoleEvaluationError(s, complex(eigs[k]))
-        x = np.linalg.solve(
-            s * np.eye(ss.A.shape[0]) - ss.A, ss.B.astype(complex)
-        )
-        return ss.D.astype(complex) + ss.C @ x
-    return ss.D.astype(complex).copy()
+    x = np.linalg.solve(s * np.eye(ss.state_dim) - ss.A, ss.B)
+    return ss.D + ss.C @ x
 
 
 def dual_adjoint(x, representation):

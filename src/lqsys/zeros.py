@@ -70,12 +70,7 @@ class RosenbrockPencil:
     @classmethod
     def from_state_space(cls, ss: StateSpace):
         ns, nf = ss.state_dim, ss.field_dim
-        p0 = np.block(
-            [
-                [ss.A.astype(complex), ss.B.astype(complex)],
-                [ss.C.astype(complex), ss.D.astype(complex)],
-            ]
-        )
+        p0 = np.block([[ss.A, ss.B], [ss.C, ss.D]]).astype(complex)
         e = np.zeros((ns + nf, ns + nf), dtype=complex)
         e[:ns, :ns] = np.eye(ns)
         return cls(p0=p0, e=e)
@@ -106,13 +101,11 @@ def _schur_spectrum(ss: StateSpace):
     det D = 1, and then A - B D^-1 C = A."""
 
     def compute():
-        d = ss.D.astype(complex)
+        d = ss.D.astype(complex)  # so that a quadrature A - B D^-1 C is complex too
         if svd_rank(d, 1e-10, floor=1, vectors=False)[0] < len(d):
             return None
         with np.errstate(over="ignore", invalid="ignore"):  # frozen_eigvals refuses inf, nan
-            schur = ss.A.astype(complex) - ss.B.astype(complex) @ np.linalg.solve(
-                d, ss.C.astype(complex)
-            )
+            schur = ss.A - ss.B @ np.linalg.solve(d, ss.C)
         return frozen_eigvals(schur)
 
     return ss.memoized("schur_spectrum", compute)
@@ -123,8 +116,7 @@ def _adjoint_spectrum(ss: StateSpace):
     array, computed once per system."""
 
     def compute():
-        a = ss.A if ss.representation == "annihilation" else ss.A.real
-        return frozen_eigvals(-adjoint(a, ss.representation))
+        return frozen_eigvals(-adjoint(ss.A, ss.representation))
 
     return ss.memoized("adjoint_spectrum", compute)
 

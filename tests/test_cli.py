@@ -626,6 +626,19 @@ BOUNDARY_CASES = {
                        "invalid feedback parameters"),
     "entry-beyond-float-range": (["feedback", "{tmp}/overflowing_pump.json", CONTROLLER],
                                  3, "invalid feedback parameters"),
+    "tol-nan": (["check", FLOAT_SPEC, "--tol", "nan"], 2, "invalid tolerance value"),
+    "tol-negative": (["kalman", FLOAT_SPEC, "--tol", "-1"], 2, "invalid tolerance value"),
+    "tol-infinite": (["zeros", EXACT_SPEC, "--tol", "inf"], 2, "invalid tolerance value"),
+    "real-part-tol-nan": (["kalman", FLOAT_SPEC, "--real-part-tol", "nan"], 2,
+                          "invalid tolerance value"),
+    "tol-zero-accepted": (["kalman", FLOAT_SPEC, "--tol", "0"], 0, "tol: 0"),
+    "sweep-nan-endpoint": (FEEDBACK + ["--alpha", "1/4", "--sweep", "nan:1:2"], 2,
+                           "sweep endpoints must be positive finite frequencies"),
+    "sweep-infinite-endpoint": (FEEDBACK + ["--alpha", "1/4", "--sweep", "1:inf:3"], 2,
+                                "sweep endpoints must be positive finite frequencies"),
+    "sweep-too-many-points": (
+        FEEDBACK + ["--alpha", "1/4", "--sweep", "1:2:100000000000000000000"], 2,
+        "sweep needs 1 to 1000000 points"),
     "sweep-out-missing-directory": (
         FEEDBACK + ["--alpha", "1/4", "--sweep", "1:2:3", "--sweep-out",
                     "{tmp}/no/such/dir.csv"], 2, "No such file or directory"),

@@ -307,6 +307,14 @@ class TestSensitivity:
             sensitivity(squeezing_net, 0j)  # alpha + GK vanishes at the origin
 
 
+# endpoints that are not finite and positive, and point counts outside
+# 1..10**6; no count above the cap is ever allocated
+REFUSED_SWEEPS = (
+    (math.nan, 1.0, 2), (1.0, math.nan, 2), (1.0, math.inf, 3), (0.0, 1.0, 3),
+    (1.0, 2.0, 0), (1.0, 2.0, 10**6 + 1), (1.0, 2.0, 10**20),
+)
+
+
 class TestSweep:
     def test_rows_and_csv(self, squeezing_net):
         rows = frequency_sweep(squeezing_net, 1e-3, 1e0, 16)
@@ -325,6 +333,12 @@ class TestSweep:
     def test_bad_range(self, squeezing_net):
         with pytest.raises(ParameterError):
             frequency_sweep(squeezing_net, -1.0, 1.0, 5)
+
+    @pytest.mark.parametrize("sweep", REFUSED_SWEEPS)
+    def test_refused_before_the_grid_is_made(self, squeezing_net, sweep, monkeypatch):
+        monkeypatch.setattr(np, "logspace", None)  # a call would raise TypeError
+        with pytest.raises(ParameterError, match="sweep"):
+            frequency_sweep(squeezing_net, *sweep)
 
     def test_sweep_through_a_pole_raises_pole_error(self):
         # T_q = (s^2 - 2s + 2)/(s^2 + 1): a lossless closed-loop pole at s = i
@@ -394,10 +408,10 @@ def ref_sensitivity(net, s):
 
 
 def ref_sweep(net, w_from, w_to, points):
-    if points < 1:
-        raise ParameterError("sweep needs at least one point")
-    if w_from <= 0 or w_to <= 0:
-        raise ParameterError("sweep endpoints must be positive frequencies")
+    if not 1 <= points <= 10**6:
+        raise ParameterError(f"sweep needs 1 to 1000000 points, got {points}")
+    if not all(0 < w < math.inf for w in (w_from, w_to)):
+        raise ParameterError("sweep endpoints must be positive finite frequencies")
     fns = ref_closed_loop(net) + ref_sensitivity_functions(net)
     rows = []
     for w in np.logspace(math.log10(w_from), math.log10(w_to), points):
@@ -421,7 +435,8 @@ def assert_matches_reference(net):
     )
     for s in (0.37 + 1.3j, 2.5j, 0j, 1j):
         assert outcome(sensitivity, net, s) == outcome(ref_sensitivity, net, s)
-    for sweep in ((1e-3, 1e2, 13), (1.0, 1.0, 1), (0.5, 2.0, 3), (2.0, 0.5, 4)):
+    for sweep in ((1e-3, 1e2, 13), (1.0, 1.0, 1), (0.5, 2.0, 3), (2.0, 0.5, 4),
+                  *REFUSED_SWEEPS):
         assert outcome(frequency_sweep, net, *sweep) == outcome(ref_sweep, net, *sweep)
 
 

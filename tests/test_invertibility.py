@@ -57,7 +57,7 @@ class TestClassification:
         rng = np.random.default_rng(23)
         for ss, expected in ((gain, True), (cavity, False)):
             q = to_quadrature(ss)
-            a, b, c, d = q.real_matrices()
+            a, b, c, d = q.A, q.B, q.C, q.D
             for _ in range(5):
                 t = unitary_symplectic(rng, q.n)
                 ss2 = StateSpace.from_matrices(

@@ -21,6 +21,7 @@ from lqsys import (
     frequency_response,
     invariant_zeros_flat,
     invariant_zeros_via_kalman,
+    minimal_realization,
     random_params,
     to_quadrature,
     verify_inverse_identity,
@@ -156,6 +157,69 @@ class TestExactInputCheckedExactly:
             [u.re + v.re, -(u.im - v.im)],
             [u.im + v.im, u.re - v.re],
         ]
+
+
+class TestArrayForm:
+    """The representation alone fixes the stored arrays: complex128 in the
+    annihilation representation, float64 in quadrature, whatever the
+    input; the constructor checks the representation and realness."""
+
+    EYE = [[1, 0], [0, 1]]
+
+    def test_every_construction_path_stores_the_representations_dtype(self, dpa, gain):
+        eye_f = np.eye(2)
+        eye_i = np.eye(2, dtype=int)
+        eye_x = xl.exact_matrix(self.EYE)
+        systems = {
+            "build_state_space float": dpa,
+            "build_state_space exact": gain,
+            "to_quadrature float": to_quadrature(dpa),
+            "to_quadrature exact": to_quadrature(gain),
+        }
+        for rep in ("annihilation", "quadrature"):
+            for kind, eye in (("float", eye_f.tolist()), ("exact", self.EYE)):
+                ss = StateSpace.from_matrices(eye, eye, eye, eye, representation=rep)
+                systems[f"from_matrices {kind} {rep}"] = ss
+            for kind, eye in (("int", eye_i), ("object", eye_x)):
+                systems[f"raw {kind} {rep}"] = StateSpace(eye, eye, eye, eye, rep)
+        for name, ss in list(systems.items()):
+            systems[f"Kalman minimal block of {name}"] = minimal_realization(ss)
+        want = {"annihilation": np.complex128, "quadrature": np.float64}
+        for name, ss in systems.items():
+            dtypes = {x.dtype.type for x in (ss.A, ss.B, ss.C, ss.D)}
+            assert dtypes == {want[ss.representation]}, name
+
+    @pytest.mark.parametrize("build", ["raw", "from_matrices"])
+    def test_unknown_representation_refused_when_made(self, build):
+        eye = np.eye(2)
+        with pytest.raises(ParameterError, match="unknown representation 'foo'"):
+            if build == "raw":
+                StateSpace(eye, eye, eye, eye, "foo")
+            else:
+                StateSpace.from_matrices(eye, eye, eye, eye, representation="foo")
+
+    def test_non_real_exact_quadrature_entry_refused_by_the_constructor(self):
+        eye = xl.exact_matrix(self.EYE)
+        d = xl.exact_matrix([[GaussianRational(1, Fraction(1, 10**20)), 0], [0, 1]])
+        exact = {"A": eye, "B": eye, "C": eye, "D": d}
+        with pytest.raises(ParameterError, match="D is not"):
+            StateSpace(np.eye(2), np.eye(2), np.eye(2), np.eye(2), "quadrature", exact)
+        with pytest.raises(ParameterError, match="A is not"):
+            StateSpace(d, eye, eye, eye, "quadrature")
+
+    def test_float_imaginary_part_above_1e12_refused_by_the_constructor(self):
+        eye = np.eye(2)
+        near = np.diag([1 + 1e-13j, 1])
+        assert StateSpace(near, eye, eye, eye, "quadrature").A.tolist() == eye.tolist()
+        with pytest.raises(ParameterError, match="B is not"):
+            StateSpace(eye, np.diag([1 + 2e-12j, 1]), eye, eye, "quadrature")
+
+    def test_complex_quadrature_a_refused(self):
+        # accepted before the constructor checked realness: eigenvalues()
+        # gave 0.5i and -1 while the Kalman split kept only the real part
+        eye = np.eye(2)
+        with pytest.raises(ParameterError, match="A is not"):
+            StateSpace(np.diag([0.5j, -1]), eye, eye, eye, representation="quadrature")
 
 
 class TestRealizability:
