@@ -55,7 +55,10 @@ def _array(rows):
 
 
 def exact_matrix(rows):
-    """Coerce nested iterables to a 2-D object array of GaussianRational."""
+    """Coerce nested iterables to a 2-D object array of GaussianRational; a
+    2-D array keeps its shape, one with no rows included."""
+    if isinstance(rows, np.ndarray):
+        return np.frompyfunc(GaussianRational.of, 1, 1)(rows)  # an object array
     out = [[GaussianRational.of(x) for x in row] for row in rows]
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionError("ragged rows in exact matrix")

@@ -139,8 +139,8 @@ def kalman_decompose(ss: StateSpace, tol=1e-9) -> KalmanReport:
     checks of one system share one decomposition; its arrays are
     read-only.  A SubspaceToleranceError is not memoized and is raised
     again on every call; so is the NumericalError raised when an SVD or
-    solve does not converge or the Krylov matrix overflows, as on entries
-    near the float range's end.
+    solve does not converge or the Krylov matrix or the transformed system
+    overflows, as on entries near the float range's end.
     """
     return ss.memoized(("kalman", tol), lambda: _decompose_checked(ss, tol))
 
@@ -175,23 +175,19 @@ def _decompose(ss, tol):
         )
     t = np.hstack([x1, x2, x3, x4])
     t.setflags(write=False)
-    a_t = np.linalg.solve(t, a @ t)
-    b_t = np.linalg.solve(t, b)
-    c_t = c @ t
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        a_t = np.linalg.solve(t, a @ t)
+        b_t = np.linalg.solve(t, b)
+        c_t = c @ t
+    if not all(np.isfinite(x).all() for x in (a_t, b_t, c_t)):
+        raise FloatingPointError("the transformed system overflows")
 
     edges = np.cumsum((0,) + dims)
     blocks = [
         a_t[edges[k] : edges[k + 1], edges[k] : edges[k + 1]] for k in range(4)
     ]
     s_co = slice(edges[1], edges[2])
-    minimal = StateSpace(
-        A=blocks[1],
-        B=b_t[s_co, :],
-        C=c_t[:, s_co],
-        D=ss.D,
-        representation=ss.representation,
-        exact=None,
-    )
+    minimal = StateSpace(blocks[1], b_t[s_co, :], c_t[:, s_co], ss.D, ss.representation)
     # the co block's eigenvalues are the poles: taking them through the
     # minimal realization leaves them memoized where poles() reads them
     reps = [

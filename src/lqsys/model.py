@@ -20,8 +20,11 @@ floating quadruple is the rounded exact one.  Each builder
 (``build_state_space``, ``to_quadrature``, ``with_lossless_modes`` and
 ``random_params``) writes its formula once and applies it to complex
 arrays or to numpy object arrays of GaussianRational; the input only
-chooses the arrays.  The exact results are stored as they are computed,
-shaped like their rounded float copies even with no entries.
+chooses the arrays.  Both model objects, ``QSystemParams`` and
+``StateSpace``, read and check their matrices in one place when they are
+made: an object is exact when all of its matrices are object arrays of
+exact scalars, and its float fields are then their rounding, so a model
+object holds one system.
 """
 
 from __future__ import annotations
@@ -73,80 +76,88 @@ __all__ = [
 _EXACT_SCALARS = (int, Fraction, GaussianRational, str)
 
 
-def _ingest(mat, what):
-    """Return (complex ndarray, exact object array or None) for a matrix
-    whose entries may be exact scalars or floats/complex."""
+def _ingest(mat):
+    """Rows of entries (nested lists or an array) as the array a constructor
+    reads, with [] as 0 x 0.  Entries are read as Python scalars, so ints
+    count as exact."""
     if isinstance(mat, np.ndarray):
-        rows = mat.tolist()
-    else:
-        rows = [list(r) for r in mat]
-    exact_ok = all(isinstance(x, _EXACT_SCALARS) for row in rows for x in row)
-    if exact_ok:
-        ex = xl.exact_matrix(rows)
-        return xl.to_numpy(ex), ex
-    try:
-        arr = as_matrix(rows)
-    except (TypeError, ValueError) as e:
-        raise ParameterError(f"{what}: cannot interpret entries ({e})") from e
-    return arr, None
+        mat = mat.tolist()
+    arr = np.array(mat, dtype=object, ndmin=1)
+    return arr.reshape(0, 0) if arr.shape == (0,) else arr
 
 
-def _implied(arr, ex, shape):
-    """An ingested block (arr, ex) that has no entries takes the implied
-    ``shape`` when that has no entries either: a JSON row list writes a
-    0 x k matrix as [], which reads as 0 x 0 (and as exact).  Any other
-    block is returned as it is, for the caller's shape check."""
-    if arr.size or shape[0] * shape[1]:
-        return arr, ex
-    return arr.reshape(shape), ex.reshape(shape)
+def _implied(arr, shape):
+    """A block with no entries takes the implied ``shape`` when that has none
+    either: a JSON row list writes a 0 x k matrix as [], read as 0 x 0."""
+    return arr.reshape(shape) if not arr.size and 0 in shape else arr
+
+
+def _read(obj, dims, real=False):
+    """Read, check and store read-only the matrices of a model object, each
+    named in ``dims`` with its (row, column) dimensions: 2-D and of agreeing
+    sizes (else DimensionError), with numeric, finite entries (else
+    ParameterError).  A matrix is exact when it is an object array of exact
+    scalars (int, Fraction, "p/q" string, GaussianRational).  ``exact``
+    holds GaussianRational copies if all are, else None; each field holds
+    the complex copy, rounded if exact (NumericalError beyond the float
+    range).  With ``real`` each matrix must be real, exactly if exact and
+    else within 1e-12, and is stored as float64."""
+    exact, sizes = {}, {}
+    for name, names in dims.items():
+        x = np.asarray(getattr(obj, name))
+        if x.ndim != 2:
+            raise DimensionError(f"{name} must be a matrix, got ndim={x.ndim}")
+        for dim, k in zip(names, x.shape):
+            first, size = sizes.setdefault(dim, (name, k))
+            if k != size:
+                raise DimensionError(
+                    f"{name} is {x.shape[0]}x{x.shape[1]}, but {dim} = {size} (from {first})"
+                )
+        try:
+            if x.dtype == object and all(isinstance(v, _EXACT_SCALARS) for v in x.flat):
+                x = exact[name] = xl.exact_matrix(x)
+            arr = xl.to_numpy(x)
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise ParameterError(f"{name}: cannot interpret entries ({e})") from e
+        if name not in exact and not np.isfinite(arr).all():
+            raise ParameterError(f"{name}: matrix entries must be finite (no NaN/Inf)")
+        if real:
+            if not ((x == x.conj()) if name in exact else (abs(arr.imag) <= 1e-12)).all():
+                raise ParameterError(f"quadrature matrices must be real; {name} is not")
+            arr = arr.real.copy()
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    for x in exact.values():
+        x.setflags(write=False)
+    object.__setattr__(obj, "exact", exact if len(exact) == len(dims) else None)
 
 
 @dataclass(frozen=True)
 class QSystemParams:
-    """Physical parameters of an n-mode, m-field linear quantum system.
-
-    omega_minus must be Hermitian and omega_plus symmetric so that the
-    doubled-up Hamiltonian matrix is Hermitian (checked exactly for exact
-    input, within 1e-12 relative for floats); the scattering matrix is
-    fixed to the identity.
+    """Physical parameters of an n-mode, m-field linear quantum system,
+    read-only and checked when made: omega blocks n x n, coupling blocks
+    m x n, omega_minus Hermitian and omega_plus symmetric so that the
+    doubled-up Hamiltonian matrix is Hermitian (exactly for exact
+    parameters, within 1e-12 relative for floats).  They are exact when all
+    four blocks are object arrays of exact scalars: ``exact`` holds them,
+    and the fields their rounding.  The scattering matrix is the identity.
     """
 
-    n: int
-    m: int
     omega_minus: np.ndarray
     omega_plus: np.ndarray
     c_minus: np.ndarray
     c_plus: np.ndarray
-    exact: dict | None = None  # exact copies of the four blocks, if available
+    exact: dict | None = field(default=None, init=False)
 
-    @classmethod
-    def create(cls, omega_minus, omega_plus, c_minus, c_plus):
-        om, om_x = _ingest(omega_minus, "omega_minus")
-        op, op_x = _ingest(omega_plus, "omega_plus")
-        cm, cm_x = _ingest(c_minus, "c_minus")
-        cp, cp_x = _ingest(c_plus, "c_plus")
-        n = om.shape[0]
-        if om.shape != (n, n) or op.shape != (n, n):
-            raise ParameterError(
-                f"omega blocks must be square n x n, got {om.shape}, {op.shape}"
-            )
-        m = max(cm.shape[0], cp.shape[0])
-        cm, cm_x = _implied(cm, cm_x, (m, n))
-        cp, cp_x = _implied(cp, cp_x, (m, n))
-        if cm.shape != (m, n) or cp.shape != (m, n):
-            raise ParameterError(
-                f"coupling blocks must be m x n, got {cm.shape}, {cp.shape}"
-            )
-        exact = None
-        if all(x is not None for x in (om_x, op_x, cm_x, cp_x)):
-            exact = {
-                "omega_minus": om_x,
-                "omega_plus": op_x,
-                "c_minus": cm_x,
-                "c_plus": cp_x,
-            }
-            hermitian = (om_x == om_x.conj().T).all()
-            symmetric = (op_x == op_x.T).all()
+    def __post_init__(self):
+        square, coupling = ("n", "n"), ("m", "n")
+        _read(self, {"omega_minus": square, "omega_plus": square,
+                     "c_minus": coupling, "c_plus": coupling})
+        om, op = self.omega_minus, self.omega_plus
+        if self.is_exact:
+            om, op = self.exact["omega_minus"], self.exact["omega_plus"]
+            hermitian = (om == om.conj().T).all()
+            symmetric = (op == op.T).all()
         else:
             scale = max(1.0, frobenius(om), frobenius(op))
             hermitian = frobenius(om - om.conj().T) <= 1e-12 * scale
@@ -155,15 +166,22 @@ class QSystemParams:
             raise ParameterError("omega_minus must be Hermitian")
         if not symmetric:
             raise ParameterError("omega_plus must be symmetric")
-        return cls(
-            n=n,
-            m=m,
-            omega_minus=om,
-            omega_plus=op,
-            c_minus=cm,
-            c_plus=cp,
-            exact=exact,
-        )
+
+    @classmethod
+    def create(cls, omega_minus, omega_plus, c_minus, c_plus):
+        """Parameters from rows of entries, exact when every entry is exact;
+        a coupling block with no entries takes the implied m x n shape."""
+        om, op, cm, cp = map(_ingest, (omega_minus, omega_plus, c_minus, c_plus))
+        shape = (max(cm.shape[0], cp.shape[0]), om.shape[0])
+        return cls(om, op, _implied(cm, shape), _implied(cp, shape))
+
+    @property
+    def n(self):
+        return self.omega_minus.shape[0]
+
+    @property
+    def m(self):
+        return self.c_minus.shape[0]
 
     @property
     def is_exact(self):
@@ -177,14 +195,18 @@ class StateSpace:
     Quantum models always have doubled (even) dimensions 2n x 2n etc.;
     derived realizations (e.g. the minimal block of a Kalman decomposition)
     may not, so evenness is enforced by the operations that need the
-    doubled structure rather than here.  ``exact`` carries GaussianRational
-    copies of the four matrices when the model was built from exact inputs.
+    doubled structure rather than here; A is ns x ns, B ns x nf, C nf x ns
+    and D nf x nf, with finite entries.  The system is exact when all four
+    are object arrays of exact scalars: ``exact`` holds them, and A, B, C,
+    D their rounding.  ``dataclasses.replace`` gives a float system unless
+    it is passed the exact matrices.
 
     The representation fixes the array form: A, B, C, D are complex128 in
     the annihilation representation and float64 in quadrature, whatever
     the input.  An unknown representation raises ParameterError, and so
-    does a quadrature matrix that is not real: exactly for exact entries,
-    beyond 1e-12 in an imaginary part (else dropped) for float ones.
+    does a quadrature matrix that is not real: exactly for an exact
+    matrix, beyond 1e-12 in an imaginary part (else dropped) for a float
+    one.
 
     The four arrays, and the exact ones, are private read-only copies: the
     caller's arrays stay untouched, and writing into ``A``, ``B``, ``C``,
@@ -200,53 +222,22 @@ class StateSpace:
     C: np.ndarray
     D: np.ndarray
     representation: str  # "annihilation" | "quadrature"
-    exact: dict | None = None
+    exact: dict | None = field(default=None, init=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.representation not in ("annihilation", "quadrature"):
             raise ParameterError(f"unknown representation {self.representation!r}")
-        exact = self.exact
-        if exact is not None:
-            exact = {k: np.array(x, dtype=object) for k, x in exact.items()}
-            object.__setattr__(self, "exact", exact)
-        for name in ("A", "B", "C", "D"):
-            x = np.asarray(getattr(self, name))
-            arr = xl.to_numpy(x)  # a copy, rounded for exact entries
-            if self.representation == "quadrature":
-                x = x if exact is None else exact[name]
-                if x.dtype == object:
-                    real = (x == x.conj()).all()
-                else:  # a float or int array is real by its dtype; NaN is not
-                    real = not np.iscomplexobj(x) or (np.abs(x.imag) <= 1e-12).all()
-                if not real:
-                    raise ParameterError(f"quadrature matrices must be real; {name} is not")
-                arr = arr.real.copy()
-            object.__setattr__(self, name, arr)
-        for arr in (self.A, self.B, self.C, self.D, *(exact or {}).values()):
-            arr.setflags(write=False)
+        dims = {"A": ("ns", "ns"), "B": ("ns", "nf"), "C": ("nf", "ns"), "D": ("nf", "nf")}
+        _read(self, dims, real=self.representation == "quadrature")
 
     @classmethod
     def from_matrices(cls, A, B, C, D, representation="annihilation"):
-        a, a_x = _ingest(A, "A")
-        b, b_x = _ingest(B, "B")
-        c, c_x = _ingest(C, "C")
-        d, d_x = _ingest(D, "D")
-        ns = a.shape[0]
-        nf = d.shape[0]
-        if a.shape != (ns, ns) or d.shape != (nf, nf):
-            raise DimensionError("A and D must be square")
-        b, b_x = _implied(b, b_x, (ns, nf))
-        c, c_x = _implied(c, c_x, (nf, ns))
-        if b.shape != (ns, nf) or c.shape != (nf, ns):
-            raise DimensionError(
-                f"B must be {ns}x{nf} and C {nf}x{ns}, "
-                f"got {b.shape} and {c.shape}"
-            )
-        exact = None
-        if all(x is not None for x in (a_x, b_x, c_x, d_x)):
-            exact = {"A": a_x, "B": b_x, "C": c_x, "D": d_x}
-        return cls(A=a, B=b, C=c, D=d, representation=representation, exact=exact)
+        """A system from rows of entries, exact when every entry is exact; a
+        B or C with no entries takes the shape that A and D imply."""
+        a, b, c, d = map(_ingest, (A, B, C, D))
+        ns, nf = a.shape[0], d.shape[0]
+        return cls(a, _implied(b, (ns, nf)), _implied(c, (nf, ns)), d, representation)
 
     @property
     def state_dim(self):
@@ -293,9 +284,10 @@ def build_state_space(params: QSystemParams) -> StateSpace:
     B = -C^b = doubled_up(-C_-^H, C_+^T), and A is doubled up from its
     upper block row -i [Omega_-, Omega_+] - (1/2) [C_-^H, -C_+^T] C, so a
     float A is doubled up bit for bit.  Exact parameters only choose the
-    input arrays and the output: the exact matrices, with their rounded
-    float copies.  A float A that overflows, or an exact entry beyond the
-    float range, raises NumericalError.
+    input arrays: the exact matrices come out as object arrays, from which
+    ``StateSpace`` makes an exact system with their rounded float copies.
+    A float A that overflows, or an exact entry beyond the float range,
+    raises NumericalError.
     """
     n, m = params.n, params.m
     keys = ("omega_minus", "omega_plus", "c_minus", "c_plus")
@@ -312,14 +304,12 @@ def build_state_space(params: QSystemParams) -> StateSpace:
         upper = np.hstack([om, op]) * minus_i - (np.hstack([cm_h, -cp_t]) @ c) / 2
     if not params.is_exact and not np.isfinite(upper).all():
         raise NumericalError("A overflows: the parameters are too large")
-    mats = {
-        "A": doubled_up(upper[:, :n], upper[:, n:]),
-        "B": doubled_up(-cm_h, cp_t),
-        "C": c,
-        "D": np.where(np.eye(2 * m, dtype=bool), one, zero),
-    }
     return StateSpace(
-        **mats, representation="annihilation", exact=mats if params.is_exact else None
+        A=doubled_up(upper[:, :n], upper[:, n:]),
+        B=doubled_up(-cm_h, cp_t),
+        C=c,
+        D=np.where(np.eye(2 * m, dtype=bool), one, zero),
+        representation="annihilation",
     )
 
 
@@ -401,11 +391,11 @@ def to_quadrature(ss: StateSpace) -> StateSpace:
     with Re z = (z + conj z)/2 and Im z = (z - conj z)/2i, which are exact
     on complex floats and on GaussianRational alike.  An exact system is
     converted on its exact matrices and stays exact; an exact result
-    beyond the float range raises NumericalError.  The formula reads only
-    the upper block row, so the input is checked first: an odd-sized
-    matrix raises DimensionError, and one that is not doubled up (relative
-    tolerance 1e-10 for floats, exactly for exact input) raises
-    NumericalError.
+    beyond the float range, or a float one that overflows, raises
+    NumericalError.  The formula reads only the upper block row, so the
+    input is checked first: an odd-sized matrix raises DimensionError, and
+    one that is not doubled up (relative tolerance 1e-10 for floats,
+    exactly for exact input) raises NumericalError.
     """
     if ss.representation != "annihilation":
         raise ParameterError("to_quadrature expects an annihilation system")
@@ -416,10 +406,12 @@ def to_quadrature(ss: StateSpace) -> StateSpace:
                 f"quadrature conversion needs doubled-up matrices; {name} "
                 "is not doubled-up"
             )
-    quad = {k: _quadrature_blocks(x) for k, x in mats.items()}
-    return StateSpace(
-        **quad, representation="quadrature", exact=quad if ss.is_exact else None
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        quad = {k: _quadrature_blocks(x) for k, x in mats.items()}
+    for name, x in quad.items():
+        if not ss.is_exact and not np.isfinite(x).all():
+            raise NumericalError(f"{name} overflows: the entries are too large")
+    return StateSpace(**quad, representation="quadrature")
 
 
 def _quadrature_blocks(x):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lqsys import exactlinalg as xl
+from lqsys.errors import NumericalError
 from lqsys import (
     HiddenModeConditionError,
     QSystemParams,
@@ -207,6 +208,17 @@ class TestMinimalRealization:
         ss = StateSpace(A=np.diag([-1.0, -2.0]), B=1e-12 * np.ones((2, 1)),
                         C=1e-12 * np.ones((1, 2)), D=np.eye(1), representation="annihilation")
         assert kalman_decompose(ss).block_dims == (0, 2, 0, 0)
+
+    @pytest.mark.parametrize("a, b, c", [
+        (np.full((2, 2), 1.5e308), [[1e-300], [0]], [[1.0, 0.0]]),
+        ([[0.0, 9e307], [-9e307, 9e307]], [[1.0], [1e-300]], [[-1.0, 0.5]]),
+    ], ids=["blocks-off-co", "co-block"])
+    def test_transformed_system_overflow_is_a_numerical_error(self, a, b, c):
+        # the Krylov matrices stay finite, but A T overflows; in the second
+        # case inside the co block, which the minimal realization is made of
+        ss = StateSpace(np.array(a), np.array(b), np.array(c), np.eye(1), "annihilation")
+        with pytest.raises(NumericalError, match="the transformed system overflows"):
+            kalman_decompose(ss)
 
 
 def _cavity_into_gain():

@@ -38,11 +38,10 @@ NAMES = ("A", "B", "C", "D")
 
 
 def fresh_copy(ss):
-    return StateSpace(
-        *(getattr(ss, k) for k in NAMES),
-        representation=ss.representation,
-        exact=ss.exact,
-    )
+    """The same system with an empty memo: an exact system is made from its
+    exact matrices, which its float fields round."""
+    mats = ss.exact or {k: getattr(ss, k) for k in NAMES}
+    return StateSpace(**mats, representation=ss.representation)
 
 
 def seeded_systems():

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from lqsys import (
     DimensionError,
+    ExactnessError,
     GaussianRational,
     NumericalError,
     ParameterError,
@@ -24,6 +27,8 @@ from lqsys import (
     minimal_realization,
     random_params,
     to_quadrature,
+    transfer_matrix_exact,
+    verify_det_identity,
     verify_inverse_identity,
     with_lossless_modes,
 )
@@ -180,7 +185,8 @@ class TestArrayForm:
             for kind, eye in (("float", eye_f.tolist()), ("exact", self.EYE)):
                 ss = StateSpace.from_matrices(eye, eye, eye, eye, representation=rep)
                 systems[f"from_matrices {kind} {rep}"] = ss
-            for kind, eye in (("int", eye_i), ("object", eye_x)):
+            eye_s = np.array([[Fraction(1), 0], [0, "1"]], dtype=object)
+            for kind, eye in (("int", eye_i), ("object", eye_x), ("exact scalars", eye_s)):
                 systems[f"raw {kind} {rep}"] = StateSpace(eye, eye, eye, eye, rep)
         for name, ss in list(systems.items()):
             systems[f"Kalman minimal block of {name}"] = minimal_realization(ss)
@@ -201,9 +207,11 @@ class TestArrayForm:
     def test_non_real_exact_quadrature_entry_refused_by_the_constructor(self):
         eye = xl.exact_matrix(self.EYE)
         d = xl.exact_matrix([[GaussianRational(1, Fraction(1, 10**20)), 0], [0, 1]])
-        exact = {"A": eye, "B": eye, "C": eye, "D": d}
         with pytest.raises(ParameterError, match="D is not"):
-            StateSpace(np.eye(2), np.eye(2), np.eye(2), np.eye(2), "quadrature", exact)
+            StateSpace(eye, eye, eye, d, "quadrature")
+        # beside float matrices, an exact one is still checked exactly
+        with pytest.raises(ParameterError, match="D is not"):
+            StateSpace(np.eye(2), np.eye(2), np.eye(2), d, "quadrature")
         with pytest.raises(ParameterError, match="A is not"):
             StateSpace(d, eye, eye, eye, "quadrature")
 
@@ -220,6 +228,115 @@ class TestArrayForm:
         eye = np.eye(2)
         with pytest.raises(ParameterError, match="A is not"):
             StateSpace(np.diag([0.5j, -1]), eye, eye, eye, representation="quadrature")
+
+    def test_mixed_spec_checks_its_exact_matrix_exactly(self):
+        # a float B, C, D made the spec float, and A's 1e-20 imaginary part
+        # was dropped within the float tolerance
+        a = [[GaussianRational(1, Fraction(1, 10**20)), 0], [0, 1]]
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(ParameterError, match="A is not"):
+            StateSpace.from_matrices(a, eye, eye, eye, representation="quadrature")
+
+
+BLOCKS = ("omega_minus", "omega_plus", "c_minus", "c_plus")
+
+
+class TestOneSystem:
+    """A model object holds one system: it is exact exactly when all of its
+    matrices are object arrays of exact scalars, its float fields are then
+    the rounding of its exact copy, and both are read and checked when it
+    is made."""
+
+    def test_constructors_take_only_their_matrices(self):
+        assert list(inspect.signature(StateSpace).parameters) == [
+            "A", "B", "C", "D", "representation"]
+        assert list(inspect.signature(QSystemParams).parameters) == list(BLOCKS)
+        eye = np.eye(2)
+        with pytest.raises(TypeError):
+            QSystemParams(eye, eye, eye, eye, exact=None)
+        with pytest.raises(TypeError):
+            QSystemParams(n=2, m=2, omega_minus=eye, omega_plus=eye, c_minus=eye, c_plus=eye)
+
+    def test_a_partial_exact_dict_is_refused(self):
+        # it made is_exact True, and transfer_matrix_exact raised KeyError 'B'
+        eye, zero = np.eye(2), xl.exact_matrix([[0, 0], [0, 0]])
+        with pytest.raises(TypeError):
+            StateSpace(eye, eye, eye, eye, "annihilation", {"A": zero})
+        with pytest.raises(TypeError):
+            StateSpace(eye, eye, eye, eye, representation="annihilation", exact={"A": zero})
+
+    def test_replace_leaves_no_stale_exact_copy(self, gain):
+        moved = dataclasses.replace(gain, A=gain.A - 3 * np.eye(2))
+        assert not moved.is_exact
+        det = verify_det_identity(moved)
+        assert det.mode == "numeric" and not det.ok
+        assert not check_physical_realizability(moved).passed
+        np.testing.assert_allclose(moved.eigenvalues(), [-2.5, -2.5])
+        with pytest.raises(ExactnessError):
+            transfer_matrix_exact(moved)
+
+    def test_replace_with_exact_matrices_stays_exact(self, gain):
+        moved = dataclasses.replace(gain, **dict(gain.exact, A=gain.exact["A"] - 3))
+        assert moved.is_exact
+        assert (moved.exact["A"] == gain.exact["A"] - 3).all()
+        np.testing.assert_array_equal(moved.A, xl.to_numpy(moved.exact["A"]))
+
+    def test_raw_object_arrays_of_exact_scalars_are_exact(self):
+        third = Fraction(1, 3)
+        a = np.array([[third, 0], [0, "1/2"]], dtype=object)
+        eye = np.array([[1, 0], [0, GaussianRational(1)]], dtype=object)
+        ss = StateSpace(a, eye, eye, eye, "annihilation")
+        assert ss.is_exact
+        assert all(type(v) is GaussianRational for x in ss.exact.values() for v in x.flat)
+        assert ss.exact["A"].tolist() == [[third, 0], [0, Fraction(1, 2)]]
+        assert ss.A.tolist() == [[1 / 3, 0], [0, 0.5]]
+        obj = lambda rows: np.array(rows, dtype=object)
+        q = QSystemParams(obj([[third]]), obj([[0]]), obj([["1/2"]]), obj([[0]]))
+        assert q.is_exact and (q.n, q.m) == (1, 1)
+        assert q.c_minus.tolist() == [[0.5]]
+        # one float matrix makes the whole object float
+        assert not StateSpace(a, np.eye(2), eye, eye, "annihilation").is_exact
+
+    def test_subclasses_of_exact_scalars_are_exact(self):
+        # bool is an int: a True entry reads as 1
+        flag = np.array([[True]], dtype=object)
+        ss = StateSpace(flag, flag, flag, flag, "annihilation")
+        assert ss.is_exact and ss.exact["A"].tolist() == [[1]]
+        assert StateSpace.from_matrices([[True]], [[1]], [[1]], [[1]]).is_exact
+
+    @pytest.mark.parametrize("a, b, error, phrase", [
+        (np.diag([np.nan, 1.0]), np.eye(2), ParameterError, "finite"),
+        (np.eye(2), np.ones((3, 2)), DimensionError, "B is 3x2"),
+        (np.ones((2, 3)), np.eye(2), DimensionError, "A is 2x3"),
+        (np.ones(2), np.eye(2), DimensionError, "A must be a matrix"),
+    ], ids=["nan", "b-3x2", "a-2x3", "a-1d"])
+    def test_raw_constructor_refuses_what_from_matrices_refuses(self, a, b, error, phrase):
+        eye = np.eye(2)
+        with pytest.raises(error, match=phrase):
+            StateSpace(a, b, eye, eye, "annihilation")
+        with pytest.raises(error, match=phrase):
+            StateSpace.from_matrices(a, b, eye, eye)
+
+    @pytest.mark.parametrize("blocks, phrase", [
+        (([1, 2], [[0]], [[1]], [[0]]), "omega_minus must be a matrix"),
+        (([[0, 0]], [[0]], [[1]], [[0]]), "omega_minus is 1x2"),
+        (([[0]], [[0]], [[1]], [[0, 0]]), "c_plus is 1x2"),
+    ], ids=["1d", "non-square", "coupling"])
+    def test_params_refuse_wrong_shapes(self, blocks, phrase):
+        with pytest.raises(DimensionError, match=phrase):
+            QSystemParams(*(np.array(b) for b in blocks))
+        with pytest.raises(DimensionError, match=phrase):
+            QSystemParams.create(*blocks)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_params_are_read_only(self, exact):
+        # a write after create slipped past the Hermitian check (float) or
+        # was ignored by the build (exact)
+        q = random_params(3, 2, 1, exact=exact)
+        assert q.is_exact == exact
+        for arr in [getattr(q, k) for k in BLOCKS] + list((q.exact or {}).values()):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1 + 2j
 
 
 class TestRealizability:
@@ -362,6 +479,14 @@ class TestQuadrature:
         ss = StateSpace.from_matrices([[big, big], [big, big]], eye, eye, eye)
         with pytest.raises(NumericalError):
             to_quadrature(ss)  # Re(U + W) = 2e308 has no float copy
+
+    def test_float_overflow_raises_numerical_error(self):
+        # the blocks emitted RuntimeWarnings, then the overflow read as
+        # "quadrature matrices must be real; A is not"
+        big = np.full((2, 2), 1e308)
+        ss = StateSpace(big, np.eye(2), np.eye(2), np.eye(2), "annihilation")
+        with pytest.raises(NumericalError, match="A overflows"):
+            to_quadrature(ss)
 
     def test_odd_dimension_raises_dimension_error(self):
         one = [[1]]
