@@ -23,17 +23,24 @@ unbounded fragility to plant uncertainty.
 
 Everything is computed on exact scalar rational functions per quadrature
 (the transfer matrices are diagonal throughout), so identities like the
-q/p duality hold exactly, not just numerically.  Each closed loop and
-sensitivity is formed from the reduced loop gain P/Q = G_j K_j, once per
-quadrature, as T_j = (alpha Q + P)/(Q + alpha P) and
-S_j = beta^2 P Q / ((Q + alpha P)(alpha Q + P)).  A frequency sweep
-evaluates these exact reduced functions in complex floats, all points of
-one polynomial at once.
+q/p duality hold exactly, not just numerically.  Each G_j is 1 or a
+factor (s + n)/(s + d) with real rational n != d, so every reduced form
+below is known without a gcd.  The loop gain P/Q = G_j K_j is
+reduced by cancelling a zero of one factor against a pole of the other,
+which leaves P and Q monic and coprime.  Then
+T_j = (alpha Q + P)/(Q + alpha P) is coprime for alpha^2 != 1, since a
+common root r would give (1 - alpha^2) P(r) = (1 - alpha^2) Q(r) = 0, and
+S_j = beta^2 P Q / ((Q + alpha P)(alpha Q + P)) is coprime for alpha not
+in {0, 1, -1}, since a root of P or Q that is a root of the denominator
+is a root of both.  Otherwise T_j = alpha and S_j = 0 at alpha = +-1, and
+S_j = 1 at alpha = 0.  A frequency sweep evaluates these exact reduced
+functions in complex floats, all points of one polynomial at once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -164,21 +171,26 @@ class FeedbackNetwork:
 
 _I = GaussianRational(0, 1)
 _HALF = GaussianRational(Fraction(1, 2))
+_ONE, _ZERO = RationalFn(1), RationalFn(0)
 
 
-def _factor(n, d) -> RationalFn:
-    """(s + n)/(s + d) for real n != d: distinct roots make it reduced, and
-    it is monic, so it is built without a gcd."""
-    return RationalFn._reduced(Poly([n, GR_ONE]), Poly([d, GR_ONE]))
+def _roots(p: QuadPlantParams):
+    """((n_q, d_q), (n_p, d_p)), real, with G_j = (s + n_j)/(s + d_j):
+    n_p = -d_q and d_p = -n_q, the duality G_q(s) G_p(-s) = 1."""
+    iw = p.omega_plus * _I  # i * W, real
+    c = p.c_product * _HALF
+    n, d = iw - c, iw + c
+    return (n, d), (-d, -n)
 
 
 def quadrature_transfer(p: QuadPlantParams):
-    """(G_q, G_p) as exact rational functions with real coefficients."""
-    iw = p.omega_plus * _I  # i * W, real
-    c = p.c_product * _HALF
+    """(G_q, G_p) as exact rational functions with real coefficients: 1
+    where n = d (zero coupling), else (s + n)/(s + d), whose distinct
+    roots make it reduced as it stands."""
     return tuple(
-        RationalFn(POLY_ONE) if n == d else _factor(n, d)
-        for n, d in ((iw - c, iw + c), (-iw - c, c - iw))
+        _ONE if n == d
+        else RationalFn._reduced(Poly.monic_linear(n), Poly.monic_linear(d))
+        for n, d in _roots(p)
     )
 
 
@@ -187,36 +199,75 @@ def check_quadrature_duality(g_q: RationalFn, g_p: RationalFn) -> bool:
     return g_q.num * g_p.num.compose_neg() == g_q.den * g_p.den.compose_neg()
 
 
+def _gain_roots(g, k):
+    """(zeros, poles) of the reduced loop gain G K, for G and K given as
+    their root pairs (n, d): a factor with n = d is 1, and a zero of one
+    factor that is a pole of the other (n_K = d_G or n_G = d_K) cancels,
+    so no zero left is also a pole."""
+    zeros, poles = [], []
+    for n, d in (g, k):
+        if n == d:
+            continue
+        if n in poles:
+            poles.remove(n)
+        else:
+            zeros.append(n)
+        if d in zeros:
+            zeros.remove(d)
+        else:
+            poles.append(d)
+    return zeros, poles
+
+
+def _monic_product(roots) -> Poly:
+    """The product of s + r over the roots."""
+    factors = [Poly.monic_linear(r) for r in roots] or [POLY_ONE]
+    return math.prod(factors[1:], start=factors[0])
+
+
+def _coprime(num: Poly, den: Poly) -> RationalFn:
+    """num/den for a coprime pair, scaled once so that den is monic."""
+    lead = den.leading()
+    if lead != GR_ONE:
+        lead = GR_ONE / lead
+        num, den = num * lead, den * lead
+    return RationalFn._reduced(num, den)
+
+
 def _loop(net: FeedbackNetwork, closed: bool, sens: bool):
-    """([T_q, T_p] if closed, [S_q, S_p] if sens) from the reduced loop
-    gain P/Q = G_j K_j, formed once per quadrature:
+    """([T_q, T_p] if closed, [S_q, S_p] if sens), built in reduced form
+    from the monic coprime loop gain P/Q = G_j K_j, with no gcd (see the
+    module docstring for why each is coprime).
 
-        T_j = (alpha Q + P)/(Q + alpha P),
-        S_j = beta^2 P Q / ((Q + alpha P)(alpha Q + P)).
-
-    Q + alpha P vanishes identically exactly when 1 + alpha G K does.  The
-    closed-loop check runs first, q before p, then the sensitivity check.
+    Q + alpha P vanishes identically only for P = Q = 1 and alpha = -1,
+    and alpha Q + P then too, so both denominators vanish together.  The
+    first such quadrature is refused with the closed-loop message when
+    T_j is asked for, else the sensitivity one, which keeps the order
+    closed before sensitivity, q before p.
     """
-    alpha = GaussianRational(net.bs.alpha)
-    gains = []
-    for g, k in zip(*map(quadrature_transfer, (net.plant, net.controller))):
-        gk = g * k
-        gains.append((gk.num, gk.den, gk.den + gk.num * alpha))
+    alpha = net.bs.alpha
+    a = GaussianRational(alpha)
+    beta2 = GR_ONE - a * a
     ts, ss = [], []
-    if closed:
-        for p, q, den in gains:
-            if den.is_zero():
-                raise DegenerateNetworkError(
-                    "closed-loop denominator 1 + alpha*G*K vanishes identically"
-                )
-            ts.append(RationalFn(q * alpha + p, den))
-    if sens:
-        beta2 = GaussianRational(net.bs.beta_squared)
-        for p, q, den in gains:
-            den = den * (q * alpha + p)
-            if den.is_zero():
-                raise DegenerateNetworkError("sensitivity denominator vanishes")
-            ss.append(RationalFn(p * q * beta2, den))
+    for g, k in zip(_roots(net.plant), _roots(net.controller)):
+        p, q = map(_monic_product, _gain_roots(g, k))
+        if alpha == -1 and p.is_one() and q.is_one():
+            raise DegenerateNetworkError(
+                "closed-loop denominator 1 + alpha*G*K vanishes identically"
+                if closed else "sensitivity denominator vanishes"
+            )
+        if beta2.is_zero():  # alpha = +-1
+            ts.append(RationalFn._reduced(Poly.constant(a), POLY_ONE))
+            ss.append(_ZERO)
+        elif not alpha:
+            ts.append(RationalFn._reduced(p, q))
+            ss.append(_ONE)
+        else:
+            up, down = q * a + p, q + p * a
+            if closed:
+                ts.append(_coprime(up, down))
+            if sens:
+                ss.append(_coprime(p * q * beta2, down * up))
     return ts, ss
 
 
@@ -306,13 +357,12 @@ def solve_alpha_for_squeezing(
 
 
 def _gain_at_origin(plant, controller, idx) -> Fraction | None:
-    """(G_j K_j)(0) on the reduced loop gain, or None where it has a pole
-    at the origin."""
-    gk = quadrature_transfer(plant)[idx] * quadrature_transfer(controller)[idx]
-    den0 = gk.den(GR_ZERO)
-    if den0.is_zero():
+    """(G_j K_j)(0) on the reduced loop gain, the product of its zeros over
+    that of its poles, or None where it has a pole at the origin."""
+    zeros, poles = _gain_roots(_roots(plant)[idx], _roots(controller)[idx])
+    if GR_ZERO in poles:
         return None
-    return (gk.num(GR_ZERO) / den0).re
+    return (math.prod(zeros, start=GR_ONE) / math.prod(poles, start=GR_ONE)).re
 
 
 def unit_controller_alpha_formula(plant: QuadPlantParams, sign: str) -> Fraction:
@@ -427,13 +477,17 @@ MAX_SWEEP_POINTS = 10**6  # checked before np.logspace allocates the grid
 def frequency_sweep(net: FeedbackNetwork, w_from, w_to, points):
     """Rows (omega, |T_q|, |T_p|, |S_q|, |S_p|) at log-spaced omega; both
     ends finite and positive, 1 <= points <= MAX_SWEEP_POINTS."""
-    if not 1 <= points <= MAX_SWEEP_POINTS:
+    try:
+        count = operator.index(points)
+    except TypeError:  # 3.0 and 2.5 are not counts
+        count = 0
+    if not 1 <= count <= MAX_SWEEP_POINTS:
         raise ParameterError(f"sweep needs 1 to {MAX_SWEEP_POINTS} points, got {points}")
     if not (0 < w_from < math.inf and 0 < w_to < math.inf):  # NaN fails too
         raise ParameterError("sweep endpoints must be positive finite frequencies")
     ts, ss = _loop(net, True, True)
     fns = ts + ss
-    ws = np.logspace(math.log10(w_from), math.log10(w_to), points).tolist()
+    ws = np.logspace(math.log10(w_from), math.log10(w_to), count).tolist()
     z = 1j * np.array(ws)
     dens = [_horner(fn.den, z) for fn in fns]
     for w, row in zip(ws, zip(*dens)):

@@ -132,7 +132,7 @@ def _read(obj, dims, real=False):
     object.__setattr__(obj, "exact", exact if len(exact) == len(dims) else None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QSystemParams:
     """Physical parameters of an n-mode, m-field linear quantum system,
     read-only and checked when made: omega blocks n x n, coupling blocks
@@ -141,6 +141,7 @@ class QSystemParams:
     parameters, within 1e-12 relative for floats).  They are exact when all
     four blocks are object arrays of exact scalars: ``exact`` holds them,
     and the fields their rounding.  The scattering matrix is the identity.
+    Equality and hashing go by identity.
     """
 
     omega_minus: np.ndarray
@@ -188,7 +189,7 @@ class QSystemParams:
         return self.exact is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     """Quadruple (A, B, C, D) in either representation.
 
@@ -215,6 +216,7 @@ class StateSpace:
     realizability residuals, the Kalman decomposition at each tolerance,
     and the Schur-complement and adjoint spectra of the zero computations)
     are computed once and memoized on the object, and live and die with it.
+    Equality and hashing go by identity too, as the memo does.
     """
 
     A: np.ndarray
@@ -223,7 +225,7 @@ class StateSpace:
     D: np.ndarray
     representation: str  # "annihilation" | "quadrature"
     exact: dict | None = field(default=None, init=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.representation not in ("annihilation", "quadrature"):

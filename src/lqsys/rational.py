@@ -353,6 +353,13 @@ class Poly:
     def s(cls):
         return cls([0, 1])
 
+    @classmethod
+    def monic_linear(cls, r):
+        """s + r for a GaussianRational r = (x + y*i)/q, read off its
+        fields: (q*s + x + y*i)/q is canonical as it stands, because
+        gcd(x, y, q) = 1."""
+        return _raw([r._x, r._q], [r._y, 0], r._q)
+
     # -- structure --------------------------------------------------------
 
     @property

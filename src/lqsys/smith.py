@@ -425,7 +425,7 @@ def polynomial_roots_exact_first(poly: Poly):
         for z in estimates:
             cand = _rationalize(complex(z))
             if work(cand).is_zero():
-                factor = Poly([-cand, 1])
+                factor = Poly.monic_linear(-cand)
                 while factor.divides(work):
                     work = (work // factor).monic()
                     exact_roots.append(cand)

@@ -79,12 +79,16 @@ def multiset_match(avals, bvals, tol):
 
     The pairing minimizes the summed distance |a - b|.  When some a has no
     b within its tolerance tol * max(1, |a|), every pairing exceeds it, so
-    the answer is None.  When every a has exactly one b within tolerance
-    and those b are distinct, that pairing is the unique optimum: any other
-    pairing moves at least two rows, each onto a b beyond its tolerance
-    and so farther than its forced partner.  Only the remaining, ambiguous
-    case runs a minimum-cost assignment (scipy), which pairs clustered
-    numeric roots robustly.  Non-finite values raise NumericalError.
+    the answer is None.  When the b within each a's tolerance all have one
+    value, and these values, one per a, are the b counted with
+    multiplicity, pairing each a with its value is the optimum: any other
+    pairing moves some row onto a b beyond its tolerance, farther than its
+    own value, and leaves the other rows' distances as they were.  Equal b
+    are interchangeable, so which one each a takes changes no pair.  This
+    covers distinct roots and repeated exact ones.  Only the remaining,
+    ambiguous case runs a minimum-cost assignment (scipy), which pairs
+    clustered numeric roots robustly.  Non-finite values raise
+    NumericalError.
     """
     a = [complex(v) for v in avals]
     b = [complex(v) for v in bvals]
@@ -101,8 +105,14 @@ def multiset_match(avals, bvals, tol):
     partners = near.sum(axis=1)
     if not partners.all():
         return None
+    # cols[i] is a_i's first partner, and every b equal to it is within
+    # tolerance too, so a row with several partners must see that value
+    # only; then each value is taken as often as b holds it exactly when
+    # the rows choosing its first column number its partners
     cols = near.argmax(axis=1)
-    if (partners == 1).all() and len(set(cols.tolist())) == len(a):
+    ties = partners > 1
+    one_value = not ties.any() or (near[ties] == (bv == bv[cols[ties], None])).all()
+    if one_value and (np.bincount(cols, minlength=len(b))[cols] == partners).all():
         return [(a[i], b[j]) for i, j in enumerate(cols.tolist())]
     # imported here so that import lqsys does not load scipy
     from scipy.optimize import linear_sum_assignment

@@ -30,7 +30,14 @@ from lqsys import (
     unit_controller,
     unit_controller_alpha_formula,
 )
-from lqsys.feedback import random_network, write_sweep_csv
+from lqsys.feedback import (
+    _gain_at_origin,
+    _gain_roots,
+    _monic_product,
+    _roots,
+    random_network,
+    write_sweep_csv,
+)
 from lqsys.rational import GaussianRational as GR, Poly, RationalFn
 
 S = Poly.s()
@@ -307,11 +314,12 @@ class TestSensitivity:
             sensitivity(squeezing_net, 0j)  # alpha + GK vanishes at the origin
 
 
-# endpoints that are not finite and positive, and point counts outside
-# 1..10**6; no count above the cap is ever allocated
+# endpoints that are not finite and positive, and point counts that are
+# not ints or lie outside 1..10**6; no count above the cap is ever allocated
 REFUSED_SWEEPS = (
     (math.nan, 1.0, 2), (1.0, math.nan, 2), (1.0, math.inf, 3), (0.0, 1.0, 3),
-    (1.0, 2.0, 0), (1.0, 2.0, 10**6 + 1), (1.0, 2.0, 10**20),
+    (1.0, 2.0, 0), (1.0, 2.0, 10**6 + 1), (1.0, 2.0, 10**20), (1.0, 2.0, 3.0),
+    (1.0, 2.0, 2.5),
 )
 
 
@@ -339,6 +347,14 @@ class TestSweep:
         monkeypatch.setattr(np, "logspace", None)  # a call would raise TypeError
         with pytest.raises(ParameterError, match="sweep"):
             frequency_sweep(squeezing_net, *sweep)
+
+    def test_point_count_is_an_index(self, squeezing_net):
+        # 3.0 and 2.5 escaped as numpy's TypeError from np.logspace
+        for points in (3.0, 2.5):
+            with pytest.raises(ParameterError, match=f"points, got {points}$"):
+                frequency_sweep(squeezing_net, 1.0, 2.0, points)
+        want = frequency_sweep(squeezing_net, 1.0, 2.0, 3)
+        assert frequency_sweep(squeezing_net, 1.0, 2.0, np.int64(3)) == want
 
     def test_sweep_through_a_pole_raises_pole_error(self):
         # T_q = (s^2 - 2s + 2)/(s^2 + 1): a lossless closed-loop pole at s = i
@@ -408,7 +424,7 @@ def ref_sensitivity(net, s):
 
 
 def ref_sweep(net, w_from, w_to, points):
-    if not 1 <= points <= 10**6:
+    if not isinstance(points, int) or not 1 <= points <= 10**6:
         raise ParameterError(f"sweep needs 1 to 1000000 points, got {points}")
     if not all(0 < w < math.inf for w in (w_from, w_to)):
         raise ParameterError("sweep endpoints must be positive finite frequencies")
@@ -512,6 +528,126 @@ class TestLoopAgainstReference:
         rows = frequency_sweep(squeezing_net, 1e-2, 1e1, 5)
         assert all(type(v) is float for row in rows for v in row)
         assert rows == ref_sweep(squeezing_net, 1e-2, 1e1, 5)
+
+
+# ---------------------------------------------------------------------------
+# the gcd-free constructions (factors, reduced loop gain, its value at the
+# origin, closed loop, sensitivity) field by field against RationalFn(num,
+# den), which reduces by a gcd
+
+
+def fields(fn):
+    """The canonical fields of a RationalFn, numerator then denominator."""
+    return [(p._xs, p._ys, p._q) for p in (fn.num, fn.den)]
+
+
+def by_gcd(num, den):
+    return fields(RationalFn(num, den))
+
+
+def linear(r):
+    return Poly([r, 1])
+
+
+def degenerate_or(build, net):
+    try:
+        return [fields(fn) for fn in build(net)]
+    except DegenerateNetworkError as exc:
+        return str(exc)
+
+
+CLOSED_REFUSAL = "closed-loop denominator 1 + alpha*G*K vanishes identically"
+SENSITIVITY_REFUSAL = "sensitivity denominator vanishes"
+
+
+def check_constructions(net):
+    """Assert each construction equals its gcd reference; return the kind
+    of loop gain at each quadrature and the closed-loop outcome."""
+    a, b2 = GR(net.bs.alpha), GR(net.bs.beta_squared)
+    for params in (net.plant, net.controller):
+        for fn, (n, d) in zip(quadrature_transfer(params), _roots(params)):
+            assert fields(fn) == by_gcd(linear(n), linear(d))
+    closed, sens, kinds = [], [], []
+    for idx, (g, k) in enumerate(zip(_roots(net.plant), _roots(net.controller))):
+        gain = RationalFn(linear(g[0]) * linear(k[0]), linear(g[1]) * linear(k[1]))
+        p, q = gain.num, gain.den
+        zeros, poles = _gain_roots(g, k)
+        got = RationalFn._reduced(_monic_product(zeros), _monic_product(poles))
+        assert fields(got) == fields(gain)
+        if g[0] == g[1] or k[0] == k[1]:
+            kinds.append("one" if gain.is_one() else "a unit factor")
+        else:
+            kinds.append({(True, True): "one", (True, False): "zero of K on pole of G",
+                          (False, True): "zero of G on pole of K",
+                          (False, False): "no cancellation"}[(k[0] == g[1], g[0] == k[1])])
+        den0 = q(GR(0))
+        at_origin = None if den0.is_zero() else (p(GR(0)) / den0).re
+        assert _gain_at_origin(net.plant, net.controller, idx) == at_origin
+        down, up = q + p * a, q * a + p
+        closed.append(CLOSED_REFUSAL if down.is_zero() else by_gcd(up, down))
+        sens.append(
+            SENSITIVITY_REFUSAL if (down * up).is_zero() else by_gcd(p * q * b2, down * up)
+        )
+    # a refusal names the first quadrature, q before p, that has one
+    want_closed = next((x for x in closed if isinstance(x, str)), closed)
+    want_sens = next((x for x in sens if isinstance(x, str)), sens)
+    assert degenerate_or(closed_loop, net) == want_closed
+    assert degenerate_or(sensitivity_functions, net) == want_sens
+    # a sweep asks for both: the closed-loop refusal comes first
+    sweep = outcome(frequency_sweep, net, 1.0, 2.0, 2)
+    if isinstance(want_closed, str) or isinstance(want_sens, str):
+        want = want_closed if isinstance(want_closed, str) else want_sens
+        assert sweep == (DegenerateNetworkError, want)
+    return kinds, want_closed if isinstance(want_closed, str) else "built"
+
+
+CONTROLLER_KINDS = ("free", "zero on pole", "pole on zero", "inverse", "unit")
+ALPHAS = (-1, 0, 1, Fraction(-2, 3), Fraction(1, 2))
+
+
+def controller_of(kind, w, c2, w_free, c2_free):
+    """(pump, coupling product) of a controller placed against the plant
+    (w, c2): with i W = -w and c = c2/2, G_q = (s - w - c)/(s - w + c) and
+    G_p = (s + w - c)/(s + w + c).  "zero on pole" puts K_q's zero on
+    G_q's pole, "pole on zero" K_q's pole on G_q's zero (each does the
+    other at p), "inverse" gives K = 1/G at both quadratures."""
+    half = (c2 + c2_free) / 2
+    return {
+        "free": (w_free, c2_free),
+        "zero on pole": (w - half, c2_free),
+        "pole on zero": (w + half, c2_free),
+        "inverse": (w, -c2),
+        "unit": (0, 0),
+    }[kind]
+
+
+class TestGcdFreeConstructions:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(fractions, fractions, st.sampled_from(CONTROLLER_KINDS), fractions,
+           fractions, st.sampled_from(ALPHAS + (Fraction(1, 3), Fraction(-1, 5))))
+    def test_drawn_networks(self, w, c2, kind, w_free, c2_free, alpha):
+        check_constructions(net_of(w, c2, *controller_of(kind, w, c2, w_free, c2_free), alpha))
+
+    def test_every_case_is_reached(self):
+        seen = set()
+        for w, c2 in ((Fraction(-3), 2), (Fraction(1, 2), Fraction(-4, 3)), (1, 0), (0, 0)):
+            for kind in CONTROLLER_KINDS:
+                for alpha in ALPHAS:
+                    net = net_of(w, c2, *controller_of(kind, w, c2, Fraction(2, 3), 1), alpha)
+                    kinds, closed = check_constructions(net)
+                    seen.update((kind, k, alpha, closed) for k in kinds)
+        assert {s[1] for s in seen} == {
+            "one", "a unit factor", "zero of K on pole of G", "zero of G on pole of K",
+            "no cancellation"}
+        assert {s[1] for s in seen if s[0] == "inverse"} == {"one"}
+        # loop gain 1 (K = 1/G, or G = K = 1) at alpha = -1 is refused
+        assert {s[3] for s in seen if s[1] == "one" and s[2] == -1} == {CLOSED_REFUSAL}
+        assert {s[3] for s in seen if s[2] != -1} == {"built"}
+
+    def test_sensitivity_refusal_alone(self):
+        net = net_of(1, 2, 1, -2, -1)  # K = 1/G
+        assert degenerate_or(sensitivity_functions, net) == SENSITIVITY_REFUSAL
+        assert degenerate_or(closed_loop, net) == CLOSED_REFUSAL
 
 
 def duality_pairs(net):

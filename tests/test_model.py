@@ -22,9 +22,11 @@ from lqsys import (
     classify_left_invertibility,
     flat_adjoint,
     frequency_response,
+    gain_system,
     invariant_zeros_flat,
     invariant_zeros_via_kalman,
     minimal_realization,
+    passive_cavity,
     random_params,
     to_quadrature,
     transfer_matrix_exact,
@@ -327,6 +329,15 @@ class TestOneSystem:
             QSystemParams(*(np.array(b) for b in blocks))
         with pytest.raises(DimensionError, match=phrase):
             QSystemParams.create(*blocks)
+
+    @pytest.mark.parametrize("make", [passive_cavity, gain_system], ids=["1x1", "2x2"])
+    def test_equality_and_hash_go_by_identity(self, make):
+        # the dataclass __eq__ compared the arrays as a tuple: 1x1 blocks
+        # read True, 2x2 ones raised "truth value ... ambiguous"
+        for build in (make, lambda: build_state_space(make())):
+            a, b = build(), build()
+            assert a == a and a != b and not a == b
+            assert hash(a) == hash(a) and len({a, b, a}) == 2
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_params_are_read_only(self, exact):

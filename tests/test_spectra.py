@@ -143,6 +143,23 @@ class TestMultisetMatch:
         assert pairs == ref_multiset_match(a, b, 1e-9)
         assert pairs[2] == (5.0, 5.0)
 
+    @pytest.mark.parametrize("a, b", [
+        ([-0.5, -0.5], [-0.5 + 1e-12, -0.5 + 1e-12]),
+        ([2j, -0.5, 1.0, -0.5], [-0.5, 1.0 + 1e-11, -0.5, 2j]),
+        ([0j, complex(-0.0, 0.0), 3.0], [3.0, complex(0.0, -0.0), 0j]),
+    ], ids=["double", "mixed", "signed-zeros"])
+    def test_ties_among_equal_values_pair_by_value(self, a, b, monkeypatch):
+        want = ref_multiset_match(a, b, 1e-9)
+        import scipy.optimize
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", None)
+        assert multiset_match(a, b, 1e-9) == want
+
+    def test_ties_with_counts_that_disagree_are_assigned(self):
+        # each row sees one value, but two rows want -0.5 and b holds one
+        a, b = [-0.5, -0.5, 1.0], [-0.5, 1.0, 1.0]
+        assert multiset_match(a, b, 1e-9) is None is ref_multiset_match(a, b, 1e-9)
+
     def test_unmatched_value_gives_none(self):
         assert multiset_match([1.0, 2.0], [1.0, 2.1], 1e-6) is None
 
@@ -175,21 +192,23 @@ class TestText:
 
 
 def test_zeros_all_methods_leave_scipy_optimize_unloaded():
-    """Pencil, flat and theorem zeros of the cavity pair off one to one,
-    so the CLI cross-check never needs the assignment solver."""
-    script = (
-        "import contextlib, io, sys\n"
-        "from lqsys.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['zeros', 'specs/passive_cavity.json', '--method', 'all'])\n"
-        "print(code, 'scipy.optimize' in sys.modules)\n"
-    )
+    """Pencil, flat and theorem zeros pair off by value, the cavity's one
+    to one and the gain system's double zero -1/2 as a tie, so the CLI
+    cross-check never needs the assignment solver."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=ROOT, env=env,
-        capture_output=True, text=True, check=True,
-    )
-    assert proc.stdout.split() == ["0", "False"]
+    for spec in ("passive_cavity", "gain_system"):
+        script = (
+            "import contextlib, io, sys\n"
+            "from lqsys.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['zeros', 'specs/{spec}.json', '--method', 'all'])\n"
+            "print(code, 'scipy.optimize' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=ROOT, env=env,
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.split() == ["0", "False"], spec
