@@ -275,6 +275,21 @@ def _poly(xs, ys, q):
     return _raw(xs, ys, q)
 
 
+def _convolve(xs, ys, ax, ay, bx, by):
+    """Add the product of the Gaussian-integer coefficient lists
+    (ax + ay*i) and (bx + by*i) into the int lists xs, ys."""
+    b = list(enumerate(zip(bx, by)))
+    for i, (x1, y1) in enumerate(zip(ax, ay)):
+        if y1:
+            for j, (x2, y2) in b:
+                xs[i + j] += x1 * x2 - y1 * y2
+                ys[i + j] += x1 * y2 + y1 * x2
+        elif x1:
+            for j, (x2, y2) in b:
+                xs[i + j] += x1 * x2
+                ys[i + j] += x1 * y2
+
+
 def _from_parts(xs, ys, qs):
     """The Poly whose k-th coefficient is (xs[k] + ys[k]*i)/qs[k]."""
     q = lcm(*qs)
@@ -476,24 +491,40 @@ class Poly:
             if not isinstance(other, _NUMBERS):
                 return NotImplemented
             return self._scaled(GaussianRational.of(other))
-        ax, ay, bx, by = self._xs, self._ys, other._xs, other._ys
+        ax, bx = self._xs, other._xs
         if not ax or not bx:
             return POLY_ZERO
         n = len(ax) + len(bx) - 1
         xs, ys = [0] * n, [0] * n
-        b = list(enumerate(zip(bx, by)))
-        for i, (x1, y1) in enumerate(zip(ax, ay)):
-            if y1:
-                for j, (x2, y2) in b:
-                    xs[i + j] += x1 * x2 - y1 * y2
-                    ys[i + j] += x1 * y2 + y1 * x2
-            elif x1:
-                for j, (x2, y2) in b:
-                    xs[i + j] += x1 * x2
-                    ys[i + j] += x1 * y2
+        _convolve(xs, ys, ax, self._ys, bx, other._ys)
         return _poly(xs, ys, self._q * other._q)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def lincomb(a, x, b, y):
+        """a*x + b*y for Polys a, x, b, y.  Both products are convolved
+        into one integer vector over their common denominator, so the
+        result is normalized once, not once per product and once more for
+        the sum; the row operations of the Smith reduction are made of
+        these, and a zero term, which they meet often, is skipped."""
+        if not (b._xs and y._xs):
+            return x if a.is_one() else a * x
+        if not (a._xs and x._xs):
+            return b * y
+        q1, q2 = a._q * x._q, b._q * y._q
+        g = gcd(q1, q2)
+        m1, m2 = q2 // g, q1 // g
+        xs = [0] * (max(len(a._xs) + len(x._xs), len(b._xs) + len(y._xs)) - 1)
+        ys = list(xs)
+        for u, v, m in ((a, x, m1), (b, y, m2)):
+            if len(u._xs) > len(v._xs):
+                u, v = v, u
+            ux, uy = u._xs, u._ys
+            if m != 1:  # scale the shorter factor up to the common denominator
+                ux, uy = [c * m for c in ux], [c * m for c in uy]
+            _convolve(xs, ys, ux, uy, v._xs, v._ys)
+        return _poly(xs, ys, q1 * m1)
 
     def _divide(self, b, want_quotient=True):
         """Long division by ``b``, a nonzero Poly or scalar: (quotient,

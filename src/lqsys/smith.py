@@ -47,6 +47,8 @@ class RationalMatrix:
     form (see ``_numerator``) is computed on first use and kept."""
 
     __slots__ = ("entries", "_numer")
+    # numpy's operators defer to this class, so G @ ndarray is a TypeError
+    __array_ufunc__ = None
 
     def __init__(self, entries):
         arr = np.array(entries, dtype=object)
@@ -91,6 +93,8 @@ class RationalMatrix:
         return hash((self.shape, *self.entries.flat))
 
     def __matmul__(self, other):
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
         if self.shape[1] != other.shape[0]:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
         # an empty sum comes out as the int 0, which the constructor reads
@@ -166,22 +170,25 @@ def _apply(n, op):
     - ("mix", i, j, a, b, c, d): (row i, row j) <- (a row i + b row j,
       c row i + d row j), a, b, c, d Poly with a d - b c a nonzero
       constant.
+
+    Each combination is one ``Poly.lincomb``, normalized once per entry.
     """
+    lincomb = Poly.lincomb
     kind = op[0]
     if kind == "swap":
         _, i, j = op
         n[i], n[j] = n[j].tolist(), n[i].tolist()
     elif kind == "addmul":
         _, dst, src, poly = op
-        n[dst] = [x + poly * y for x, y in zip(n[dst].tolist(), n[src].tolist())]
+        n[dst] = [lincomb(POLY_ONE, x, poly, y) for x, y in zip(n[dst].tolist(), n[src].tolist())]
     elif kind == "scale":
         _, i, c = op
         n[i] = [x * c for x in n[i].tolist()]
     else:
         _, i, j, a, b, c, d = op
         ri, rj = n[i].tolist(), n[j].tolist()
-        n[i] = [a * x + b * y for x, y in zip(ri, rj)]
-        n[j] = [c * x + d * y for x, y in zip(ri, rj)]
+        n[i] = [lincomb(a, x, b, y) for x, y in zip(ri, rj)]
+        n[j] = [lincomb(c, x, d, y) for x, y in zip(ri, rj)]
 
 
 def _numerator(g: RationalMatrix):
@@ -277,17 +284,32 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
 
     Writes G = N(s)/d(s) with d the monic lcm of entry denominators (the
     numerator form shared with ``apply_operations``) and reduces N by
-    recorded unimodular operations, then cancels d into each diagonal
-    entry.  The pivot is the trailing block's entry of least degree, ties
-    broken by least coefficient size, then by smallest (row, col), so the
-    recorded operation sequence is deterministic.  The pivot's column and
-    row are then cleared one entry at a time, the smallest first: an entry
-    the pivot divides by a plain row or column operation, any other by a
-    Bezout 2x2 mix that turns the pivot into the gcd and zeroes the entry.
-    Small entries first keep the Bezout cofactors, which every later
-    clearing operation spreads over the trailing block, as small as the
-    matrix allows.  Every touched row/column is stripped to its rational
-    content; a constant pivot divides everything without long division.
+    recorded unimodular operations, then cancels a denominator into each
+    diagonal entry.  The pivot is the trailing block's entry of least
+    degree, ties broken by least coefficient size, then by smallest
+    (row, col), so the recorded operation sequence is deterministic.  The
+    pivot's column and row are then cleared one entry at a time, the
+    smallest first: an entry the pivot divides by a plain row or column
+    operation, any other by a Bezout 2x2 mix that turns the pivot into the
+    monic gcd and zeroes the entry.  Small entries first keep the Bezout
+    cofactors, which every later clearing operation spreads over the
+    trailing block, as small as the matrix allows.  Every touched
+    row/column is stripped to its rational content, and three rules keep
+    the entries small:
+
+    - Unit pivots stay 1.  A mix that leaves a constant pivot leaves the
+      monic gcd 1, and its line is not stripped, so the clearing
+      quotients are the entries themselves.
+    - Each trailing block over its own denominator.  Once pivot t is
+      final and two or more pivots are left, the block after it is
+      divided by the monic gcd f of the denominator d in force and the
+      block's entries (the search stops as soon as f is 1), and the
+      reduction goes on over d/f.  Each diagonal entry keeps the
+      denominator in force when it was fixed.  Row and column operations
+      are linear, so the recorded operations stay valid on the undivided
+      N that ``apply_operations`` replays.
+    - Row combinations normalized once: each entry of a recorded
+      operation is one ``Poly.lincomb`` (see ``_apply``).
     """
     p, q = g.shape
     n, d = _numerator(g)
@@ -317,6 +339,7 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
         normalize(0, i)
 
     t = 0
+    dens = []  # the denominator in force when each pivot was fixed
     while t < min(p, q):
         pos = _smallest_pivot(n, t)
         if pos is None:
@@ -337,7 +360,9 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
                     op(side, "addmul", k, t, -quot)
                 else:
                     op(side, "mix", t, k, *bezout(pivot, e, quot, rem))
-                    normalize(side, t)
+                    # the pivot is now the monic gcd: a unit one stays 1
+                    if not n[t, t].is_constant():
+                        normalize(side, t)
                 normalize(side, k)
                 continue
             # pivot must divide the whole remaining submatrix; if not, pull
@@ -349,11 +374,25 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
             if offender is None:
                 break
             op(0, "addmul", t, offender, POLY_ONE)
+        dens.append(d)
         t += 1
+        # the trailing block over its own denominator: divide out the
+        # monic gcd f of d and the block's entries, go on over d/f; the
+        # entry of a block with one pivot left is cancelled at the end
+        block = n[t:, t:]
+        f = d if min(p, q) - t > 1 else POLY_ONE
+        for e in block.flat:
+            if f.is_one():
+                break
+            if not e.is_zero():
+                f = f.gcd(e)
+        if not f.is_one():
+            block[...] = np.frompyfunc(lambda e: e // f, 1, 1)(block)
+            d = d // f
 
     alphas, betas = [], []
     for i in range(t):
-        fn = RationalFn(n[i, i], d)
+        fn = RationalFn(n[i, i], dens[i])
         lc = fn.num.leading()
         if lc != GR_ONE:
             op(0, "scale", i, GR_ONE / lc)

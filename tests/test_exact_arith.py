@@ -146,6 +146,14 @@ class TestPolyAgainstReference:
         assert L(a * b) == ref_mul(L(a), L(b))
 
     @SETTINGS
+    @given(polys, any_polys, polys, any_polys)
+    def test_lincomb(self, a, x, b, y):
+        out = Poly.lincomb(a, x, b, y)
+        assert L(out) == ref_add(ref_mul(L(a), L(x)), ref_mul(L(b), L(y)))
+        # Poly equality compares the canonical fields
+        assert out == a * x + b * y
+
+    @SETTINGS
     @given(polys, gaussians)
     def test_scalar_mul(self, a, c):
         assert L(a * c) == ref_mul(L(a), trim([c]))

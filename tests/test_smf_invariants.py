@@ -84,6 +84,67 @@ def test_four_mode_two_field_system():
     check(transfer_matrix_exact(random_system(11, 4, 2, exact=True)))
 
 
+def test_four_mode_two_field_system_operation_count():
+    # a regression guard on the reduction's cost: before the unit pivot
+    # and trailing denominator rules, it recorded 35 operations here
+    smf = smith_mcmillan(transfer_matrix_exact(random_system(11, 4, 2, exact=True)))
+    assert len(smf.left_ops) + len(smf.right_ops) == 29
+
+
+# The reduction divides each trailing block with two or more pivots left
+# by the factor f it shares with the denominator d in force and goes on
+# over d/f.  In a matrix hidden behind unimodular factors,
+# U diag(alpha_i/beta_i) V, d = beta_1 and the block after pivot k shares
+# beta_k/beta_(k+1) with the denominator beta_k then in force, so the
+# betas below name the case each matrix exercises.
+S = Poly.s()
+A, B, C = S + 1, S - 2, S - GaussianRational(0, 1)
+
+
+def hidden(diag, shape=None):
+    """U @ diagonal(diag, shape) @ V for fixed unimodular U and V, each a
+    lower times an upper unitriangular polynomial matrix, so that no entry
+    of the product is zero."""
+    p, q = shape or (len(diag),) * 2
+
+    def triangular(k, upper):
+        return RationalMatrix([[1 if i == j else (S + i - j if (j > i) == upper else 0)
+                                for j in range(k)] for i in range(k)])
+
+    def unimodular(k):
+        return triangular(k, False) @ triangular(k, True)
+
+    return unimodular(p) @ RationalMatrix.diagonal(diag, shape) @ unimodular(q)
+
+
+@pytest.mark.parametrize("diag,shape,alphas,betas", [
+    # the first trailing block shares all of d
+    ([RationalFn(1, A * B), S, S * A], None, [1, S, S * A], [A * B, 1, 1]),
+    # part of d
+    ([RationalFn(1, A * B), RationalFn(1, A), RationalFn(1, A)], None, [1, 1, 1], [A * B, A, A]),
+    # nothing
+    ([RationalFn(1, A), RationalFn(S + 3, A), RationalFn(S + 3, A)], None,
+     [1, S + 3, S + 3], [A, A, A]),
+    # part of d twice, over four pivots
+    ([RationalFn(1, A * B * C), RationalFn(1, A * B), RationalFn(1, A), RationalFn(S, A)], None,
+     [1, 1, 1, S], [A * B * C, A * B, A, A]),
+    # a polynomial matrix: d = 1
+    ([1, S, S * A], None, [1, S, S * A], [1, 1, 1]),
+    # rank deficient: the last trailing block is zero
+    ([RationalFn(1, A * B), RationalFn(1, A), RationalFn(1, A), 0], None, [1, 1, 1], [A * B, A, A]),
+    # non-square, both ways
+    ([RationalFn(1, A * C), RationalFn(1, C), RationalFn(S, C)], (3, 4), [1, 1, S], [A * C, C, C]),
+    ([RationalFn(1, A * C), RationalFn(1, C), RationalFn(S, C)], (4, 3), [1, 1, S], [A * C, C, C]),
+])
+def test_trailing_blocks_over_their_own_denominator(diag, shape, alphas, betas):
+    g = hidden(diag, shape)
+    check(g)
+    smf = smith_mcmillan(g)
+    assert list(smf.alphas) == [Poly.constant(1) * a for a in alphas]
+    assert list(smf.betas) == [Poly.constant(1) * b for b in betas]
+    assert smf.left_matrix() @ g @ smf.right_matrix() == smf.diagonal()
+
+
 # small rational matrices of any shape, with zero entries, shared factors,
 # rank deficiency through a repeated row, and diagonal matrices, whose
 # pivot seldom divides the rest of the diagonal

@@ -2,10 +2,11 @@
 
 ``data/smf_recorded.json`` holds, for a fixed set of seeded exact systems
 (n <= 3, m <= 2, generic and passive), the Smith-McMillan form with its
-recorded operations and the certificate replay, as produced by the
-implementation that kept every polynomial coefficient as its own
-GaussianRational.  Any change to the exact arithmetic must reproduce them
-exactly: same operations, same invariant factors, same replay.
+recorded operations and the certificate replay.  A change to the exact
+arithmetic alone must reproduce all of it exactly.  A change to the
+reduction's pivot, clearing or scaling rules may change the recorded
+operations and nothing else: the invariant factors and the replay stay
+as recorded, and the file is rewritten only by ``record_smf.py``.
 """
 
 import json

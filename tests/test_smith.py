@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,14 +18,17 @@ from lqsys import (
     build_state_space,
     frequency_response,
     random_params,
+    random_system,
     smith_mcmillan,
     transfer_matrix_exact,
     zeros_poles_from_smf,
 )
 from lqsys.rational import GaussianRational
 from lqsys.smith import _rationalize, polynomial_roots_exact_first
+from lqsys.specio import load_system_spec
 
 S = Poly.s()
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
 
 def diag_fn(*entries):
@@ -157,6 +162,14 @@ class TestRationalMatrix:
         assert apply_operations(g, smf.left_ops, smf.right_ops) == smf.diagonal()
         assert smf.left_matrix() @ g @ smf.right_matrix() == smf.diagonal()
 
+    @pytest.mark.parametrize("other", [3, [[1, 0], [0, 1]], np.eye(2), np.eye(2, dtype=object)])
+    def test_product_with_a_non_matrix_is_a_type_error(self, other):
+        g = RationalMatrix.identity(2)
+        with pytest.raises(TypeError):
+            g @ other
+        with pytest.raises(TypeError):
+            other @ g
+
     def test_text_form_is_one_line_per_row(self):
         g = RationalMatrix([[RationalFn(S, S - 1), 0], [0, 1]])
         assert str(g) == "[s/(s-1), 0]\n[0, 1]"
@@ -281,6 +294,40 @@ class TestZerosPolesFromSmf:
             ss = build_state_space(random_params(seed, 2, 1, exact=True))
             zeros, poles = zeros_poles_from_smf(smith_mcmillan(transfer_matrix_exact(ss)))
             assert zeros.matches(poles.mirrored(), 1e-7)
+
+
+def mirror_holds(ss):
+    """The paper's theorem on the Smith-McMillan form, exactly: the
+    product of the alpha_i is conj(product of the beta_i)(-s), made monic,
+    so the transmission zeros are the poles mirrored, s0 -> -conj(s0)."""
+    smf = smith_mcmillan(transfer_matrix_exact(ss))
+    zeros = reduce(lambda a, b: a * b, smf.alphas, Poly([1]))
+    poles = reduce(lambda a, b: a * b, smf.betas, Poly([1]))
+    return zeros == poles.conjugate().compose_neg().monic()
+
+
+class TestExactMirror:
+    @pytest.mark.parametrize("passive", [False, True])
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_seeded_systems(self, n, m, passive):
+        for seed in range(4):
+            assert mirror_holds(
+                build_state_space(random_params(seed, n, m, passive=passive, exact=True))
+            )
+
+    def test_four_mode_two_field_system(self):
+        assert mirror_holds(random_system(11, 4, 2, exact=True))
+
+    @pytest.mark.parametrize("name,holds", [
+        ("gain_system", True),
+        ("quadrature_hidden_pair", True),
+        ("classical_pole_only", False),
+        ("classical_hidden_mode", False),
+    ])
+    def test_bundled_specs(self, name, holds):
+        # a classical system is no quantum system: nothing mirrors its poles
+        ss, _ = load_system_spec(SPEC_DIR / f"{name}.json")
+        assert mirror_holds(ss) is holds
 
 
 class TestRootExtraction:
