@@ -12,26 +12,27 @@ integer kernels ``charpoly``, ``pencil_det``, ``transfer_numerators``
 (A - B D^-1 C, for the exact det identity).  They read each matrix once
 into the scaled triple of ``to_scaled``, Gaussian-integer lists over one
 common denominator, run on Python ints and normalize each result once
-(Bareiss elimination; Faddeev-LeVerrier over one running denominator;
-Newton interpolation through integer falling factorials; sizes are a
-handful of modes).  The triples stay in this module, products of them
-are ``scaled_mul``'s, and only ``charpoly``'s adjugate terms are returned
-scaled (``from_scaled`` builds one as an exact matrix).  ``pencil_det``
-has no library caller: the tests use it as an independent reference,
-and it, ``mat_block`` and ``mat_zeros`` serve the benchmark's traced
-probe.  An empty matrix needs no special case: its characteristic
-polynomial, and the determinant of an empty pencil, come out as 1.
+(Bareiss elimination; Berkowitz's division-free recurrence, the one
+characteristic-polynomial algorithm; the Markov parameters C A^i B;
+Newton interpolation through integer falling factorials).  The triples
+stay in this module, products of them are ``scaled_mul``'s, and only
+``charpoly``'s adjugate terms are returned scaled (``from_scaled``
+builds one as an exact matrix).  ``pencil_det`` has no library caller:
+the tests use it as an independent reference, and it, ``mat_block`` and
+``mat_zeros`` serve the benchmark's traced probe.  An empty matrix needs
+no special case: its characteristic polynomial, and the determinant of
+an empty pencil, come out as 1.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .rational import GR_ZERO, GaussianRational, _from_parts, _gr, _poly
+from .rational import GR_ZERO, GaussianRational, _convolve, _gr, _poly
 
 __all__ = [
     "exact_matrix",
@@ -164,47 +165,73 @@ def _bareiss(mx, my):
     return sign * px, sign * py
 
 
-def charpoly(a):
-    """Characteristic polynomial det(sI - A) via Faddeev-LeVerrier on
-    Gaussian integers, with the adjugate expansion coefficients M_1..M_n,
-    adj(sI - A) = sum_k M_{k+1} s^(n-1-k), used by the exact resolvent.
+def _berkowitz(mx, my):
+    """(xs, ys), lowest degree first: the Gaussian-integer coefficients of
+    det(sI - M), M = mx + my*i, by Berkowitz's division-free recurrence
+    (Inf. Process. Lett. 18(3), 1984) over the leading blocks.  With
+    M_(k+1) = [[M_k, c], [r, a]], the coefficients of det(sI - M_(k+1)),
+    highest degree first, are those of det(sI - M_k) convolved with
+    (1, -a, -r c, -r M_k c, ..., -r M_k^(k-1) c) and cut to k + 2 terms.
+    A pass multiplies v by the rows of M up to r, which stop at len(v)."""
+    px, py = [1], [0]  # det(sI - M_0) = 1, highest degree first
+    for k in range(len(mx)):
+        vx, vy = [row[k] for row in mx[:k]], [row[k] for row in my[:k]]  # c
+        tx, ty = [1, -mx[k][k]], [0, -my[k][k]]
+        for j in range(k):
+            lo = k if j == k - 1 else 0  # the last pass needs r v alone
+            v = [(i, x, y) for i, (x, y) in enumerate(zip(vx, vy)) if x or y]
+            vx, vy = [], []  # M_k v, then r v
+            for ux, uy in zip(mx[lo:k + 1], my[lo:k + 1]):
+                sx = sy = 0
+                for i, x2, y2 in v:
+                    x1, y1 = ux[i], uy[i]
+                    sx += x1 * x2 - y1 * y2
+                    sy += x1 * y2 + y1 * x2
+                vx.append(sx)
+                vy.append(sy)
+            tx.append(-vx.pop())
+            ty.append(-vy.pop())
+        qx, qy = [0] * (2 * k + 2), [0] * (2 * k + 2)
+        _convolve(qx, qy, tx, ty, px, py)
+        px, py = qx[:k + 2], qy[:k + 2]
+    return px[::-1], py[::-1]
 
-    A is scaled once to the Gaussian-integer matrix qA.  Each M_k is kept
-    as an integer matrix N over one running denominator d; with
-    t = tr(qA N), the coefficient is c_(n-k) = -t/(kqd) and
-    M_(k+1) = (k qA N - t I)/(kqd), whose content is stripped once.  The
-    terms are returned in that scaled form, (xs, ys, d) with
-    M_k = (xs + ys*i)/d, for ``scaled_mul``; ``from_scaled`` builds one as
-    an exact matrix.  The polynomial is normalized once.
-    """
+
+def _charpoly(sa):
+    """(p, (xs, ys)) for the scaled triple sa of A: p = det(sI - A), the
+    integer vector q^k (xs + ys*i)_k over q^n normalized once, where xs +
+    ys*i are the coefficients of det(sI - qA), lowest degree first."""
+    px, py = _berkowitz(sa[0], sa[1])
+    qk = [sa[2] ** k for k in range(len(px))]
+    return _poly([x * f for x, f in zip(px, qk)], [y * f for y, f in zip(py, qk)], qk[-1]), (px, py)
+
+
+def charpoly(a, terms=True):
+    """(p, terms): p = det(sI - A) by Berkowitz's recurrence on the
+    Gaussian-integer matrix qA of ``to_scaled``, and the adjugate terms
+    M_1..M_n, adj(sI - A) = sum_k M_k s^(n-k), or None for
+    ``terms=False``.  With c_j the coefficients of p, M_1 = I and
+    M_(k+1) = A M_k + c_(n-k) I; on the integers M_k = N_k/q^(k-1), with
+    N_(k+1) = qA N_k + P_(n-k) I for P those of det(sI - qA).  The terms
+    are returned in that scaled form (xs, ys, q^(k-1)) for ``scaled_mul``;
+    ``from_scaled`` builds one as an exact matrix."""
     n, c = a.shape
     if n != c:
         raise DimensionError("characteristic polynomial needs a square matrix")
-    qa = to_scaled(a)
-    q = qa[2]
-    xs, ys, qs = [0] * (n + 1), [0] * (n + 1), [1] * (n + 1)
-    xs[n] = 1
-    m = ([[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)], 1)
-    terms = []
-    for k in range(1, n + 1):
-        terms.append(m)
-        px, py, _ = scaled_mul(qa, m) if k > 1 else qa
-        tx = sum(px[i][i] for i in range(n))
-        ty = sum(py[i][i] for i in range(n))
-        den = k * q * m[2]
-        xs[n - k], ys[n - k], qs[n - k] = -tx, -ty, den
-        if k < n:
-            mx = [[k * x for x in row] for row in px]
-            my = [[k * y for y in row] for row in py]
-            for i in range(n):
-                mx[i][i] -= tx
-                my[i][i] -= ty
-            g = gcd(den, *[x for row in mx for x in row], *[y for row in my for y in row])
-            if g != 1:
-                mx = [[x // g for x in row] for row in mx]
-                my = [[y // g for y in row] for row in my]
-            m = (mx, my, den // g)
-    return _from_parts(xs, ys, qs), terms
+    sa = to_scaled(a)
+    p, (px, py) = _charpoly(sa)
+    if not terms:
+        return p, None
+    out = [([[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)], 1)]
+    m = ([row[:] for row in sa[0]], [row[:] for row in sa[1]], sa[2])  # qA N_1, over q
+    for k in range(1, n):
+        if k > 1:
+            m = scaled_mul(sa, m)
+        for i in range(n):
+            m[0][i][i] += px[n - k]
+            m[1][i][i] += py[n - k]
+        out.append(m)
+    return p, out[:n]  # no term for n = 0
 
 
 def pencil_det(p0, e):
@@ -251,39 +278,52 @@ def pencil_det(p0, e):
 
 def transfer_numerators(a, b, c, d):
     """(p, N) with D + C (sI - A)^-1 B = N/p: p = charpoly(A) and N the
-    object array of Poly numerators D p + C adj(sI - A) B, shaped as D.
+    object array of Poly numerators, shaped as D.
 
-    With adj(sI - A) = sum_k M_k s^(n-k) from ``charpoly``, the products
-    C M_k B are formed on the scaled terms, and each numerator is summed
-    coefficient by coefficient as integer pairs over their denominators
-    and normalized once."""
-    p, m_terms = charpoly(a)
-    sb, sc = to_scaled(b), to_scaled(c)
-    # M_k multiplies s^(n-k), so cmb[deg] is the coefficient of s^deg
-    cmb = [scaled_mul(scaled_mul(sc, mk), sb) for mk in reversed(m_terms)]
-    pxs, pys, pq = p._xs, p._ys, p._q
+    (sI - A)^-1 = sum_i A^i s^-(i+1), so N = D p + sum_(i<n) (C A^i B)
+    floor(p/s^(i+1)), from the Markov parameters C A^i B.  With P the
+    integer coefficients of det(sI - qA) and W_i = (qC)(qA)^i(qB), an
+    entry d/qD of D gives coefficient t of N over Q = qD qC qB q^n as
+    q^t (d qC qB P_t + qD q sum_i W_i P_(t+i+1)), normalized once."""
+    sa = to_scaled(a)
+    p, (px, py) = _charpoly(sa)
+    n, q = len(px) - 1, sa[2]
+    qt = [q**t for t in range(n + 1)]
+    cx, cy, qc = to_scaled(c)
+    bx, by, qb = to_scaled(b)
+    # K = [qB, qA qB, ..., (qA)^(n-1) qB]: W_k(i, j) is (qC K)(i, k m + j)
+    kx, ky = [[] for _ in range(n)], [[] for _ in range(n)]
+    vx, vy = bx, by
+    for k in range(n):
+        if k:
+            vx, vy, _ = scaled_mul(sa, (vx, vy, 1))
+        for row, r in chain(zip(kx, vx), zip(ky, vy)):
+            row.extend(r)
+    wx, wy, _ = scaled_mul((cx, cy, 1), (kx, ky, 1))
+    m = d.shape[1]
+    tails = [(px[t + 1:], py[t + 1:]) for t in range(n + 1)]
+    f = qc * qb
     out = np.empty(d.shape, dtype=object)
     for (i, j), dij in np.ndenumerate(d):
-        xs = [t[0][i][j] for t in cmb] + [0]
-        ys = [t[1][i][j] for t in cmb] + [0]
-        qs = [t[2] for t in cmb] + [1]
-        dx, dy, dq = dij._x, dij._y, dij._q
-        if dx or dy:
-            # add D_ij p(s): (dx + dy*i)(pxs + pys*i)/(dq*pq)
-            q2 = dq * pq
-            for k, (x2, y2) in enumerate(zip(pxs, pys)):
-                q1 = qs[k]
-                xs[k] = xs[k] * q2 + (dx * x2 - dy * y2) * q1
-                ys[k] = ys[k] * q2 + (dx * y2 + dy * x2) * q1
-                qs[k] = q1 * q2
-        out[i, j] = _from_parts(xs, ys, qs)
+        w = list(zip(wx[i][j::m], wy[i][j::m]))
+        dx, dy, g = dij._x, dij._y, dij._q * q
+        xs, ys = [], []
+        for x, y, (tx, ty), qk in zip(px, py, tails, qt):
+            sx = sy = 0  # S_t = sum_i W_i P_(t+i+1)
+            for (x1, y1), x2, y2 in zip(w, tx, ty):
+                sx += x1 * x2 - y1 * y2
+                sy += x1 * y2 + y1 * x2
+            xs.append(((dx * x - dy * y) * f + g * sx) * qk)
+            ys.append(((dx * y + dy * x) * f + g * sy) * qk)
+        out[i, j] = _poly(xs, ys, dij._q * f * qt[-1])
     return p, out
 
 
 def schur_complement(a, b, c, d):
     """(charpoly(D), A - B D^-1 C), the second None when D is singular and
     A itself when D is empty.  With p = charpoly(D) and its last adjugate
-    term M, (-D) M = p(0) I, so D^-1 = -M/p(0) and A - B D^-1 C =
+    term M = D^(n-1) + c_(n-1) D^(n-2) + ... + c_1 I from ``charpoly``'s
+    recurrence, (-D) M = p(0) I, so D^-1 = -M/p(0) and A - B D^-1 C =
     A + B M C/p(0): one scaled product B M C, not one per adjugate term."""
     p, terms = charpoly(d)
     p0 = p.coeffs[0]

@@ -139,8 +139,8 @@ class RationalMatrix:
 def transfer_matrix_exact(ss) -> RationalMatrix:
     """Exact transfer matrix D + C (sI - A)^-1 B of an exact system: each
     entry is the numerator from ``exactlinalg.transfer_numerators``
-    (Faddeev-LeVerrier on Gaussian integers) over p(s) = det(sI - A),
-    reduced."""
+    (the Markov parameters C A^i B on Gaussian integers) over
+    p(s) = det(sI - A), reduced."""
     if not ss.is_exact:
         raise ExactnessError(
             "transfer_matrix_exact needs exact entries; "

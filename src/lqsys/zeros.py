@@ -19,9 +19,9 @@ residuals; clustering at ``tol`` and the realizability verdict run on
 every call.  The det identity has one rule for exact and floating input,
 the Schur determinant formula
 det P(s) = (-1)^ns det D det(sI - (A - B D^-1 C)): floating systems read
-it off the same two spectra, exact ones take charpoly(A - B D^-1 C) from
-``exactlinalg.schur_complement``, which reads D^-1 off the last adjugate
-term of charpoly(D).  It forms no adjoint in exact arithmetic:
+it off the same two spectra, exact ones take A - B D^-1 C from
+``exactlinalg.schur_complement`` (D^-1 from the last adjugate term of
+charpoly(D)) and form no other adjugate term and no adjoint:
 A^b = J A^H J and A^# = JJ A^T JJ^T are similarities, because J^2 = I
 and JJ is orthogonal, so det(sI + A^b) = det(sI + A^H), which is
 charpoly(-A) with conjugated coefficients, and
@@ -376,9 +376,9 @@ def verify_det_identity(ss: StateSpace, tol=1e-9) -> DetIdentityReport:
         a, d = ss.exact["A"], ss.exact["D"]
         p, schur = xl.schur_complement(a, ss.exact["B"], ss.exact["C"], d)
         unit = p.coeffs[0] * (-1) ** (ns + len(d))
-        lmon = None if schur is None else xl.charpoly(schur)[0]
+        lmon = None if schur is None else xl.charpoly(schur, terms=False)[0]
         # charpoly(-A) = det(sI + A) = (-1)^ns charpoly(A)(-s)
-        right = xl.charpoly(a)[0].compose_neg() * (-1) ** ns
+        right = xl.charpoly(a, terms=False)[0].compose_neg() * (-1) ** ns
         if ss.representation == "annihilation":
             right = right.conjugate()
         ok = lmon == right  # False for None

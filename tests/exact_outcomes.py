@@ -17,6 +17,9 @@ One line per draw gives its label and one short digest per stage:
 - ``lossless``: ``with_lossless_modes`` with one mode (frequency 2 for an
   exact draw, 0.5 for a float one) and the build of the extension;
 - ``quad``: ``to_quadrature`` of the build;
+- ``cp``: ``exactlinalg.charpoly`` of A, its polynomial and its adjugate
+  terms as exact matrices, and ``exactlinalg.schur_complement``, its
+  charpoly(D) and A - B D^-1 C (exact systems);
 - ``tm`` and ``smf``: the exact transfer matrix and its Smith-McMillan
   form, with the recorded operations and their counts (exact systems);
 - ``det``: ``verify_det_identity``.
@@ -63,6 +66,19 @@ def system_record(ss):
     return ss.representation, exact_record(ss.exact), mats
 
 
+def charpolys(xl, ss):
+    """charpoly(A) with its terms as exact matrices, and schur_complement."""
+    a, b, c, d = (ss.exact[k] for k in ("A", "B", "C", "D"))
+    poly, terms = xl.charpoly(a)
+    return poly, [xl.from_scaled(*t) for t in terms], *xl.schur_complement(a, b, c, d)
+
+
+def cp_record(out):
+    poly, terms, p, schur = out
+    rows = lambda m: [[str(x) for x in row] for row in m]
+    return repr(poly), [rows(t) for t in terms], repr(p), None if schur is None else rows(schur)
+
+
 def tm_record(g):
     return [[str(e) for e in row] for row in g.entries]
 
@@ -103,6 +119,7 @@ class Line:
 def system_stages(lq, line, ss):
     exact = ss if ss is not None and ss.is_exact else None
     line.stage("quad", lq.to_quadrature, system_record, ss)
+    line.stage("cp", lambda s: charpolys(lq.exactlinalg, s), cp_record, exact)
     tm = line.stage("tm", lq.transfer_matrix_exact, tm_record, exact)
     line.stage("smf", lq.smith_mcmillan, smf_record, tm)
     line.stage("det", lq.verify_det_identity, det_record, ss)

@@ -2,10 +2,11 @@
 
 Poly operations are compared with a coefficient-wise reference written
 here on lists of GaussianRational (one normalized value per coefficient,
-schoolbook algorithms).  Characteristic polynomials and pencil
-determinants are compared with sympy's DomainMatrix over QQ_I,
-which is a test-only dependency; the adjugate terms of ``charpoly`` are
-checked by the resolvent identity at exact points.
+schoolbook algorithms).  Characteristic polynomials, pencil
+determinants and transfer numerators at exact points are compared with
+sympy's DomainMatrix over QQ_I, which is a test-only dependency; the
+adjugate terms of ``charpoly`` are checked by the resolvent identity at
+exact points.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lqsys import exactlinalg as xl
@@ -415,6 +416,104 @@ class TestAdjugateExpansion:
         ps = p(s)
         assert (xl.exact_matrix(shifted) @ xl.exact_matrix(adj)).tolist() == [
             [ps if i == j else GR_ZERO for j in range(n)] for i in range(n)
+        ]
+
+
+def _identity(n):
+    eye = xl.mat_zeros(n, n)
+    for k in range(n):
+        eye[k, k] = GR_ONE
+    return eye
+
+
+def _sympy_matrix(m):
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    return DomainMatrix([[_qq_i(x) for x in row] for row in m], m.shape, QQ_I)
+
+
+_I = GaussianRational(0, 1)
+_JORDAN = [[int(j == k + 1) for j in range(4)] for k in range(4)]
+
+
+def _real_quadrature_a():
+    from lqsys import random_system, to_quadrature
+
+    return to_quadrature(random_system(3, 2, 1, exact=True)).exact["A"]
+
+
+# Matrices on which a recurrence that reads the leading blocks, their last
+# column and their powers could go wrong: columns or blocks that vanish,
+# a matrix whose powers vanish, repeated eigenvalues, real storage, and
+# the smallest sizes.
+CHARPOLY_EDGES = {
+    "zero diagonal": lambda: [[0, 1 + _I, 2], [3, 0, -_I], [Fraction(1, 2), _I, 0]],
+    "zero first row and column": lambda: [[0, 0, 0], [0, 1, 2 + _I], [0, 3, Fraction(-1, 3)]],
+    "nilpotent Jordan block": lambda: _JORDAN,
+    "repeated diagonal entries": lambda: [[2, 1, 0], [0, 2, _I], [Fraction(1, 2), 0, 2]],
+    "real quadrature matrix": _real_quadrature_a,
+    "1x1": lambda: [[5 - 2 * _I]],
+    "0x0": lambda: xl.mat_zeros(0, 0),
+}
+
+
+class TestCharpolyEdgeCases:
+    """charpoly on CHARPOLY_EDGES against (-1)^n pencil_det(A, I), against
+    sympy, and through its adjugate terms at an exact point."""
+
+    @pytest.fixture(params=sorted(CHARPOLY_EDGES))
+    def a(self, request):
+        return xl.exact_matrix(CHARPOLY_EDGES[request.param]())
+
+    def test_pencil_determinant(self, a):
+        n = len(a)
+        p, _ = xl.charpoly(a)
+        assert p == xl.pencil_det(a, _identity(n)) * (-1) ** n
+        assert p.degree == n and p.leading() == GR_ONE
+
+    def test_sympy(self, a):
+        pytest.importorskip("sympy")
+        ref = _sympy_matrix(a).charpoly()
+        assert xl.charpoly(a, terms=False)[0] == Poly([_from_qq_i(z) for z in reversed(ref)])
+
+    def test_adjugate_terms(self, a):
+        n, s = len(a), GaussianRational(Fraction(7, 3), Fraction(-1, 2))
+        p, terms = xl.charpoly(a)
+        adj = sum((xl.from_scaled(*t) * s ** (n - 1 - k) for k, t in enumerate(terms)),
+                  xl.mat_zeros(n, n))
+        assert ((s * _identity(n) - a) @ adj).tolist() == (p(s) * _identity(n)).tolist()
+
+    def test_nilpotent_block(self):
+        assert xl.charpoly(xl.exact_matrix(_JORDAN))[0] == Poly([0, 0, 0, 0, 1])
+
+
+@st.composite
+def quadruples(draw, max_n=6):
+    """(A, B, C, D) with 1..max_n states and 1..3 inputs and outputs."""
+    n, m_in, m_out = draw(st.integers(1, max_n)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def mat(r, c):
+        row = st.lists(gaussians, min_size=c, max_size=c)
+        return xl.exact_matrix(draw(st.lists(row, min_size=r, max_size=r)))
+
+    return mat(n, n), mat(n, m_in), mat(m_out, n), mat(m_out, m_in)
+
+
+class TestTransferNumeratorsAgainstSympy:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(quadruples(), gaussians)
+    def test_value_at_a_point(self, abcd, s0):
+        """N(s0)/p(s0) = D + C (s0 I - A)^-1 B, the solve by sympy."""
+        pytest.importorskip("sympy")
+        a, b, c, d = abcd
+        p, num = xl.transfer_numerators(a, b, c, d)
+        ps = p(s0)
+        assume(ps)
+        x = _sympy_matrix(s0 * _identity(len(a)) - a).lu_solve(_sympy_matrix(b))
+        ref = _sympy_matrix(d) + _sympy_matrix(c).matmul(x)
+        assert [[e(s0) / ps for e in row] for row in num] == [
+            [_from_qq_i(z) for z in row] for row in ref.to_list()
         ]
 
 
