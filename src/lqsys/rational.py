@@ -328,6 +328,147 @@ def _coprime_mod_p(a, b):
     return len(fa) == 1
 
 
+def _primitive(p):
+    """(xs, ys, k) with p = (k/q)*(xs + ys*i) for a nonzero Poly p of
+    denominator q: k is the integer content of its numerators."""
+    k = gcd(*p._xs, *p._ys)
+    if k == 1:
+        return p._xs, p._ys, 1
+    return [x // k for x in p._xs], [y // k for y in p._ys], k
+
+
+def _times(xs, ys, cx, cy):
+    """The lists (xs + ys*i)*(cx + cy*i), new ones."""
+    if cy:
+        return [x * cx - y * cy for x, y in zip(xs, ys)], [x * cy + y * cx for x, y in zip(xs, ys)]
+    return [x * cx for x in xs], [y * cx for y in ys]
+
+
+def _exact_quo(x, y, cx, cy):
+    """(x + y*i)/(cx + cy*i) for Gaussian integers, the second dividing
+    the first."""
+    if cy:
+        m = cx * cx + cy * cy
+        return (x * cx + y * cy) // m, (y * cx - x * cy) // m
+    return x // cx, y // cx
+
+
+def _exact_div(xs, ys, cx, cy):
+    """The lists (xs + ys*i)/(cx + cy*i), for a Gaussian integer that
+    divides every coefficient."""
+    quos = [_exact_quo(x, y, cx, cy) for x, y in zip(xs, ys)]
+    return [x for x, _ in quos], [y for _, y in quos]
+
+
+def _trim(xs, ys):
+    """Drop the trailing zero coefficients of the lists, in place."""
+    n = len(xs)
+    while n and not xs[n - 1] and not ys[n - 1]:
+        n -= 1
+    del xs[n:], ys[n:]
+
+
+def _exact_quotient(xs, ys, bx, by):
+    """The lists of (xs + ys*i)/(bx + by*i) for Gaussian-integer
+    polynomials whose quotient is one too: each quotient digit is the
+    working top coefficient divided exactly by lc(b).  xs and ys are
+    consumed."""
+    m = len(bx) - 1
+    lx, ly = bx[-1], by[-1]
+    steps = len(xs) - m
+    qx, qy = [0] * steps, [0] * steps
+    for j in range(steps - 1, -1, -1):
+        tx, ty = xs[m + j], ys[m + j]
+        if not tx and not ty:
+            continue
+        tx, ty = _exact_quo(tx, ty, lx, ly)
+        qx[j], qy[j] = tx, ty
+        for i, (x2, y2) in enumerate(zip(bx, by), j):
+            xs[i] -= tx * x2 - ty * y2
+            ys[i] -= tx * y2 + ty * x2
+    _trim(qx, qy)
+    return qx, qy
+
+
+def _subresultant(ax, ay, bx, by):
+    """(rx, ry, sx, sy): the last nonzero element R of the subresultant
+    remainder sequence of the Gaussian-integer polynomials A = ax + ay*i
+    and B = bx + by*i, deg A >= deg B >= 1, and the cofactor S of A in
+    S*A + T*B = R.
+
+    Each step pseudo-divides, lc(B)^(e+1) A = Q B + P with e = deg A -
+    deg B, and takes A, B <- B, P/beta, where beta = c*h^e with c the
+    leading coefficient of the previous B and h the scalar updated as
+    h <- c^e / h^(e-1) (both 1 at the start; Cohen, "A Course in
+    Computational Algebraic Number Theory", Alg. 3.3.1).  The elements
+    are the subresultants of A and B up to sign, and their cofactors,
+    S <- (lc(B)^(e+1) S_prev - Q S)/beta, are those of the subresultants:
+    Gaussian-integer polynomials, so each division by beta, and by
+    h^(e-1), is exact.  The sequence stops at a zero remainder (R = B)
+    or at a constant element."""
+    s0x, s0y, s1x, s1y = [1], [0], [], []
+    cx, cy, hx, hy = 1, 0, 1, 0
+    while True:
+        m = len(bx) - 1
+        e = len(ax) - 1 - m
+        lx, ly = bx[-1], by[-1]
+        pows = [(1, 0)]  # lc(B)^k for k = 0 .. e+1
+        for _ in range(e + 1):
+            px, py = pows[-1]
+            pows.append((px * lx - py * ly, px * ly + py * lx))
+        # pseudo-division: each step takes off the top coefficient t of
+        # the remainder and leaves lc(B)*rest - t*B*s^j; the quotient digit
+        # is t times the lc(B)^j that the later steps multiply it by
+        rx, ry = list(ax), list(ay)
+        qx, qy = [0] * (e + 1), [0] * (e + 1)
+        low = list(zip(bx[:-1], by[:-1]))
+        for j in range(e, -1, -1):
+            tx, ty = rx.pop(), ry.pop()
+            rx, ry = _times(rx, ry, lx, ly)
+            if tx or ty:
+                px, py = pows[j]
+                qx[j], qy[j] = tx * px - ty * py, tx * py + ty * px
+                for i, (x2, y2) in enumerate(low, j):
+                    rx[i] -= tx * x2 - ty * y2
+                    ry[i] -= tx * y2 + ty * x2
+        _trim(rx, ry)
+        if not rx:
+            return bx, by, s1x, s1y
+        sx, sy = _times(s0x, s0y, *pows[e + 1])
+        if s1x:
+            n = len(qx) + len(s1x) - 1
+            sx += [0] * (n - len(sx))
+            sy += [0] * (n - len(sy))
+            _convolve(sx, sy, [-x for x in qx], [-y for y in qy], s1x, s1y)
+            _trim(sx, sy)
+        hpx, hpy = 1, 0
+        for _ in range(e):
+            hpx, hpy = hpx * hx - hpy * hy, hpx * hy + hpy * hx
+        betax, betay = cx * hpx - cy * hpy, cx * hpy + cy * hpx
+        rx, ry = _exact_div(rx, ry, betax, betay)
+        sx, sy = _exact_div(sx, sy, betax, betay)
+        ax, ay, bx, by = bx, by, rx, ry
+        s0x, s0y, s1x, s1y = s1x, s1y, sx, sy
+        cx, cy = lx, ly
+        if e:
+            # h <- c^e / h^(e-1); hp is h^e, so h^(e-1) = hp/h
+            hx, hy = _exact_quo(*pows[e], *_exact_quo(hpx, hpy, hx, hy))
+        if len(bx) == 1:
+            return bx, by, s1x, s1y
+
+
+def _over_scalar(xs, ys, num, den, cx, cy):
+    """The Poly (xs + ys*i)*num / (den*(cx + cy*i)) for ints num, den > 0
+    and a nonzero Gaussian integer cx + cy*i, normalized once."""
+    if cy:
+        m = cx * cx + cy * cy
+        return _poly([(x * cx + y * cy) * num for x, y in zip(xs, ys)],
+                     [(y * cx - x * cy) * num for x, y in zip(xs, ys)], den * m)
+    if cx < 0:
+        num, cx = -num, -cx
+    return _poly([x * num for x in xs], [y * num for y in ys], den * cx)
+
+
 class Poly:
     """Polynomial in s over Q(i); coefficients lowest degree first.
 
@@ -420,12 +561,8 @@ class Poly:
         lx, ly = xs[-1], ys[-1]
         if lx == self._q and not ly:
             return self
-        # p / ((lx + ly*i)/q) = (xs + ys*i)(lx - ly*i) / (lx^2 + ly^2)
-        return _poly(
-            [x * lx + y * ly for x, y in zip(xs, ys)],
-            [y * lx - x * ly for x, y in zip(xs, ys)],
-            lx * lx + ly * ly,
-        )
+        # p / ((lx + ly*i)/q) = (xs + ys*i) / (lx + ly*i)
+        return _over_scalar(xs, ys, 1, 1, lx, ly)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -477,14 +614,7 @@ class Poly:
         cx, cy = c._x, c._y
         if not cx and not cy:
             return POLY_ZERO
-        xs, ys = self._xs, self._ys
-        if cy:
-            return _poly(
-                [x * cx - y * cy for x, y in zip(xs, ys)],
-                [x * cy + y * cx for x, y in zip(xs, ys)],
-                self._q * c._q,
-            )
-        return _poly([x * cx for x in xs], [y * cx for y in ys], self._q * c._q)
+        return _poly(*_times(self._xs, self._ys, cx, cy), self._q * c._q)
 
     def __mul__(self, other):
         if type(other) is not Poly:
@@ -555,17 +685,14 @@ class Poly:
             lx, ly = bx[0], by[0]
             if lx == qb and not ly:
                 return self, POLY_ZERO
-            # 1/b = qb*(lx - ly*i)/(lx^2 + ly^2)
-            return self._scaled(_gr(lx * qb, -ly * qb, lx * lx + ly * ly)), POLY_ZERO
+            # self/b = (xs + ys*i)*qb / (q*(lx + ly*i))
+            return _over_scalar(self._xs, self._ys, qb, self._q, lx, ly), POLY_ZERO
         steps = len(self._xs) - dd
         if steps <= 0:
             return POLY_ZERO, self
         # divide by the primitive part B of b = (k/qb)*B: the remainder is
         # the same, the quotient is scaled by qb/k, and m is smaller
-        k = gcd(*bx, *by)
-        if k != 1:
-            bx = [x // k for x in bx]
-            by = [y // k for y in by]
+        bx, by, k = _primitive(b)
         lx, ly = bx[-1], by[-1]
         if ly:
             cx, cy, m = lx, -ly, lx * lx + ly * ly
@@ -635,34 +762,44 @@ class Poly:
     def ext_gcd(self, other):
         """(g, u, v) with u*self + v*other = g, g the monic gcd.
 
-        Euclid's sequence carries one cofactor only, that of the operand of
-        larger degree (its own degree is the smaller one); the other follows
-        from u*self + v*other = g by one exact division.  Each remainder is
-        replaced by its primitive Gaussian-integer part, and its cofactor
-        scaled by the same rational, so the divisions run on integer vectors
-        without the large common factors that the rational remainders of
-        Euclid carry; the pair is normalized once, by the last remainder's
-        leading coefficient.  The cofactors are the unique ones of least
-        degree, so the scaling changes no result."""
-        track_u = self.degree > other.degree
-        r0, r1 = self, other
-        w0, w1 = (POLY_ONE, POLY_ZERO) if track_u else (POLY_ZERO, POLY_ONE)
-        while r1._xs:
-            q, r = r0._divide(r1)
-            r0, r1 = r1, r
-            w0, w1 = w1, w0 - q * w1
-            if r._xs:
-                # r = (c/q) * primitive part: scale r and its cofactor by q/c
-                c = gcd(*r._xs, *r._ys)
-                r1 = _raw([x // c for x in r._xs], [y // c for y in r._ys], 1)
-                w1 = w1._scaled(_gr(r._q, 0, c))
-        if not r0._xs:
+        The cofactors are the unique ones of least degree.  For nonzero
+        operands deg u < deg other - deg g, so u = 0 when other divides
+        self, and deg v < deg self - deg g unless self is a constant
+        multiple of other (then v = 1/lc(other)).  A zero operand gets
+        cofactor 0 and the other one 1/lc; ext_gcd(0, 0) is (0, 0, 0).
+
+        Let a be the operand of larger degree (self on a tie) and b the
+        other.  A constant b settles it at once: g = 1, or monic(a) when
+        b = 0.  Otherwise the subresultant remainder sequence (Collins
+        1967; Brown and Traub 1971) runs on the primitive Gaussian-integer
+        parts A and B (see ``_subresultant``) and tracks one cofactor, S
+        with S*A + T*B = R for its last nonzero element R: every division
+        in it is exact and by a known scalar, so no content gcd runs on the
+        large cofactors, and the coefficients grow only linearly along the
+        sequence.  T = (R - S*A)/B is one exact division over Z[i] (its
+        quotient digits divide by lc(B) exactly), and both cofactors are
+        scaled back to a and b over lc(R) with one normalization each."""
+        swap = len(self._xs) < len(other._xs)
+        a, b = (other, self) if swap else (self, other)
+        if not a._xs:
             return POLY_ZERO, POLY_ZERO, POLY_ZERO
-        g = r0.monic()
-        w = w0._scaled(GR_ONE / r0.leading())
-        if track_u:
-            return g, w, (g - w * self) // other if other._xs else POLY_ZERO
-        return g, (g - w * other) // self if self._xs else POLY_ZERO, w
+        if len(b._xs) > 1:
+            ax, ay, ka = _primitive(a)
+            bx, by, kb = _primitive(b)
+            rx, ry, sx, sy = _subresultant(ax, ay, bx, by)
+            lx, ly = rx[-1], ry[-1]
+            g = _raw(rx, ry, 1).monic()
+            wa = _over_scalar(sx, sy, a._q, ka, lx, ly)
+            # T*B = R - S*A, so T is the exact quotient
+            n = max(len(rx), len(sx) + len(ax) - 1)
+            tx, ty = rx + [0] * (n - len(rx)), ry + [0] * (n - len(ry))
+            _convolve(tx, ty, [-x for x in sx], [-y for y in sy], ax, ay)
+            wb = _over_scalar(*_exact_quotient(tx, ty, bx, by), b._q, kb, lx, ly)
+        elif b._xs:
+            g, wa, wb = POLY_ONE, POLY_ZERO, _over_scalar([1], [0], b._q, 1, b._xs[0], b._ys[0])
+        else:
+            g, wa, wb = a.monic(), _over_scalar([1], [0], a._q, 1, a._xs[-1], a._ys[-1]), POLY_ZERO
+        return (g, wb, wa) if swap else (g, wa, wb)
 
     def lcm(self, other):
         if self.is_zero() or other.is_zero():

@@ -25,6 +25,7 @@ from .rational import (
     Poly,
     POLY_ONE,
     RationalFn,
+    _coprime_mod_p,
     _gr,
     content,
 )
@@ -303,11 +304,15 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
     - Each trailing block over its own denominator.  Once pivot t is
       final and two or more pivots are left, the block after it is
       divided by the monic gcd f of the denominator d in force and the
-      block's entries (the search stops as soon as f is 1), and the
-      reduction goes on over d/f.  Each diagonal entry keeps the
-      denominator in force when it was fixed.  Row and column operations
-      are linear, so the recorded operations stay valid on the undivided
-      N that ``apply_operations`` replays.
+      block's entries, and the reduction goes on over d/f.  The search
+      divides each entry once: it starts from f = d, stops at f = 1 (an
+      entry coprime to f modulo a prime, or a remainder coprime to it),
+      keeps each quotient whose remainder is zero, and otherwise shrinks
+      f to gcd(f, remainder) and rescales the quotients already taken.
+      Each diagonal entry keeps the denominator in force when it was
+      fixed.  Row and column operations are linear, so the recorded
+      operations stay valid on the undivided N that ``apply_operations``
+      replays.
     - Row combinations normalized once: each entry of a recorded
       operation is one ``Poly.lincomb`` (see ``_apply``).
     """
@@ -381,13 +386,29 @@ def smith_mcmillan(g: RationalMatrix) -> SmithMcMillanForm:
         # entry of a block with one pivot left is cancelled at the end
         block = n[t:, t:]
         f = d if min(p, q) - t > 1 else POLY_ONE
-        for e in block.flat:
+        quots = []  # (flat index, entry // f) of the nonzero entries seen
+        for k, e in enumerate(block.flat):
             if f.is_one():
                 break
-            if not e.is_zero():
-                f = f.gcd(e)
+            if e.is_zero():
+                continue
+            if _coprime_mod_p(f, e):
+                f = POLY_ONE
+                break
+            quot, rem = divmod(e, f)
+            if not rem.is_zero():
+                # gcd(f, e) = gcd(f, rem) = g: e/g = quot*(f/g) + rem/g,
+                # and the quotients taken by f are scaled by f/g
+                g = f.gcd(rem)
+                if not g.is_one():
+                    ratio = f // g
+                    quots = [(j, x * ratio) for j, x in quots]
+                    quot = quot * ratio + rem // g
+                f = g
+            quots.append((k, quot))
         if not f.is_one():
-            block[...] = np.frompyfunc(lambda e: e // f, 1, 1)(block)
+            for k, x in quots:
+                block.flat[k] = x
             d = d // f
 
     alphas, betas = [], []

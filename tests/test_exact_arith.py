@@ -547,3 +547,115 @@ class TestPolyLargeCoefficients:
         assert r.is_zero() and q * c == a
         assert a // c == q and (a % c).is_zero() and c.divides(a)
         assert L(a // c.coeffs[0]) == L(q)  # a scalar divisor is the same
+
+
+# -- ext_gcd at reduction scale and on its edge cases -------------------------
+
+
+def check_ext_gcd(a, b):
+    """ext_gcd(a, b) equals the reference Euclid field for field and
+    satisfies Bezout; returns (g, u, v)."""
+    g, u, v = a.ext_gcd(b)
+    assert (L(g), L(u), L(v)) == ref_ext_gcd(L(a), L(b))
+    assert u * a + v * b == g
+    return g, u, v
+
+
+def assert_least_degree(a, b, g, u, v):
+    """The cofactor degree bounds (degree -1 for zero)."""
+    assert u.degree < b.degree - g.degree
+    assert v.degree < a.degree - g.degree
+
+
+def bezout_pairs(monkeypatch, n):
+    """The operand pairs of every ext_gcd call that smith_mcmillan makes on
+    random_system(11, n, 2, exact=True)."""
+    from lqsys import random_system, smith_mcmillan, transfer_matrix_exact
+
+    g = transfer_matrix_exact(random_system(11, n, 2, exact=True))
+    pairs, ext_gcd = [], Poly.ext_gcd
+
+    def spy(a, b):
+        pairs.append((a, b))
+        return ext_gcd(a, b)
+
+    monkeypatch.setattr(Poly, "ext_gcd", spy)
+    smith_mcmillan(g)
+    monkeypatch.undo()
+    return pairs
+
+
+def bits(p):
+    return max(abs(x).bit_length() for x in (*p._xs, *p._ys, p._q))
+
+
+class TestExtGcd:
+    @pytest.mark.parametrize("n,degrees", [(4, (6, 5)), (5, (8, 7))])
+    def test_bezout_pairs_of_a_reduction(self, monkeypatch, n, degrees):
+        # the three Bezout mixes of a four- or five-mode reduction: degrees
+        # up to 2n - 2 and 2n - 3, 50-130-bit coefficients, cofactors of
+        # 500-1,500 bits
+        pairs = bezout_pairs(monkeypatch, n)
+        assert len(pairs) == 3
+        assert max((a.degree, b.degree) for a, b in pairs) == degrees
+        assert max(bits(p) for pair in pairs for p in pair) > 100
+        for a, b in pairs:
+            g, u, v = check_ext_gcd(a, b)
+            assert_least_degree(a, b, g, u, v)
+            assert max(bits(u), bits(v)) > 400
+
+    def test_zero_operands(self):
+        a = Poly([GaussianRational(1, 2), 3, GaussianRational(0, -4)])
+        zero = Poly([])
+        assert check_ext_gcd(zero, zero) == (zero, zero, zero)
+        g, u, v = check_ext_gcd(a, zero)
+        assert (g, u, v) == (a.monic(), Poly([1 / a.leading()]), zero)
+        g, u, v = check_ext_gcd(zero, a)
+        assert (g, u, v) == (a.monic(), zero, Poly([1 / a.leading()]))
+
+    def test_constant_operands(self):
+        s = Poly.s()
+        c, k = Poly([GaussianRational(Fraction(3, 5), -2)]), Poly([Fraction(-7, 2)])
+        one, zero = Poly([1]), Poly([])
+        assert check_ext_gcd(c, k) == (one, zero, Poly([1 / k.leading()]))
+        assert check_ext_gcd(s * s + 1, c) == (one, zero, Poly([1 / c.leading()]))
+        assert check_ext_gcd(c, s * s + 1) == (one, Poly([1 / c.leading()]), zero)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_degree_orders(self, swap):
+        # equal degrees, and the operand of larger degree second
+        s = Poly.s()
+        a = (s * s + GaussianRational(1, 3)) * (s - 2) + 5
+        b = 2 * s * s * s - GaussianRational(0, 1) * s + 7
+        c = 3 * s * s + s - 1
+        for x, y in ((a, b), (a, c)):
+            x, y = (y, x) if swap else (x, y)
+            assert_least_degree(x, y, *check_ext_gcd(x, y))
+
+    def test_divisor_and_equal_operands(self):
+        s = Poly.s()
+        b = (s - 1) * (s + GaussianRational(2, 1))
+        a = b * (s * s + 3)
+        assert check_ext_gcd(a, b) == (b.monic(), Poly([]), Poly([1 / b.leading()]))
+        assert check_ext_gcd(b, a) == (b.monic(), Poly([1 / b.leading()]), Poly([]))
+        assert check_ext_gcd(a, a) == (a.monic(), Poly([]), Poly([1 / a.leading()]))
+        a3 = a * GaussianRational(Fraction(2, 3), 1)
+        assert check_ext_gcd(a3, a) == (a.monic(), Poly([]), Poly([1 / a.leading()]))
+
+    def test_gaussian_leading_coefficients_and_a_quadratic_common_factor(self):
+        s = Poly.s()
+        f = s * s + GaussianRational(1, -2) * s + GaussianRational(Fraction(1, 3), 5)
+        a = f * (GaussianRational(2, 3) * s * s * s + s - GaussianRational(0, 7))
+        b = f * (GaussianRational(Fraction(-5, 4), 1) * s * s + 11)
+        g, u, v = check_ext_gcd(a, b)
+        assert g == f and g.degree == 2
+        assert_least_degree(a, b, g, u, v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys.filter(lambda p: p.degree >= 1), polys.filter(lambda p: p.degree >= 1),
+           polys.filter(lambda p: p.degree >= 2))
+    def test_least_degree_cofactors(self, a, b, c):
+        # nonconstant operands that are not constant multiples of each other
+        a, b = a * c, b * c
+        assume((a * b.leading() - b * a.leading()).degree >= 0)
+        assert_least_degree(a, b, *check_ext_gcd(a, b))

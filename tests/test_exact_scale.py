@@ -7,16 +7,28 @@ share nothing with ``charpoly``; the exact transfer matrix at two exact
 points against D + C X, with X from a Gauss-Jordan solve of
 (s0 I - A) X = B written here on lists of GaussianRational; and the exact
 det identity must hold.
+
+The Smith-McMillan reduction is checked at 12 states,
+``random_system(11, 6, 2, exact=True)``, generic and passive: its
+recorded operations must replay to ``diagonal()``, and its invariant
+factors must mirror exactly, prod alpha_i = conj(prod beta_i)(-s).
 """
 
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from lqsys import random_system, transfer_matrix_exact, verify_det_identity
+from lqsys import (
+    apply_operations,
+    random_system,
+    smith_mcmillan,
+    transfer_matrix_exact,
+    verify_det_identity,
+)
 from lqsys import exactlinalg as xl
-from lqsys.rational import GR_ONE, GR_ZERO, GaussianRational
+from lqsys.rational import GR_ONE, GR_ZERO, GaussianRational, Poly
 
 POINTS = [
     GaussianRational(Fraction(7, 3), Fraction(5, 2)),
@@ -71,3 +83,15 @@ def test_transfer_matrix_at_two_points(ss):
 def test_det_identity_holds_exactly(ss):
     rep = verify_det_identity(ss)
     assert rep.ok and rep.mode == "exact"
+
+
+@pytest.mark.parametrize("passive", [False, True])
+def test_six_mode_reduction_replays_and_mirrors(passive):
+    g = transfer_matrix_exact(random_system(11, 6, 2, passive, exact=True))
+    smf = smith_mcmillan(g)
+    assert smf.rank == 4
+    assert apply_operations(g, smf.left_ops, smf.right_ops) == smf.diagonal()
+    zeros = reduce(lambda a, b: a * b, smf.alphas, Poly([1]))
+    poles = reduce(lambda a, b: a * b, smf.betas, Poly([1]))
+    assert poles.degree == 12
+    assert zeros == poles.conjugate().compose_neg().monic()

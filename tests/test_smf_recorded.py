@@ -1,12 +1,15 @@
 """Bit-identity of the exact stack against recorded output.
 
 ``data/smf_recorded.json`` holds, for a fixed set of seeded exact systems
-(n <= 3, m <= 2, generic and passive), the Smith-McMillan form with its
-recorded operations and the certificate replay.  A change to the exact
-arithmetic alone must reproduce all of it exactly.  A change to the
-reduction's pivot, clearing or scaling rules may change the recorded
-operations and nothing else: the invariant factors and the replay stay
-as recorded, and the file is rewritten only by ``record_smf.py``.
+(n <= 3 with m <= 2, and n = 4, 5 with m = 2; generic and passive), the
+Smith-McMillan form with its recorded operations and the certificate
+replay.  At n = 4 and 5 the Bezout mixes carry cofactors of 800 to 1,400
+bits, so a change to ``Poly.ext_gcd`` that moved any cofactor would show
+here.  A change to the exact arithmetic alone must reproduce all of it
+exactly.  A change to the reduction's pivot, clearing or scaling rules
+may change the recorded operations and nothing else: the invariant
+factors and the replay stay as recorded, and the file is rewritten only
+by ``record_smf.py``.
 """
 
 import json
@@ -27,7 +30,7 @@ DATA = Path(__file__).parent / "data" / "smf_recorded.json"
 SYSTEMS = [
     (seed, n, m, passive)
     for passive in (False, True)
-    for seed, (n, m) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)))
+    for seed, (n, m) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (5, 2)))
 ]
 
 

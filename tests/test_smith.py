@@ -216,6 +216,36 @@ class TestSmithMcMillan:
     def test_random_passive_round_trip_and_chains(self, seed, n, m):
         check_round_trip_and_chains(random_params(seed, n, m, passive=True, exact=True))
 
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_trailing_block_divisor_shrinks_part_way(self, mixed):
+        # G = diag(1/d, 1, 1/(s+2)) with d = (s+1)(s+2), so N = d*G =
+        # diag(1, d, s+1).  After the unit pivot the trailing block's first
+        # entry d is divisible by d, its last, s+1, only by s+1: the block
+        # divisor shrinks part-way, from d to s+1, and the quotient already
+        # taken by d is redone (d/(s+1) = s+2).  Constant unimodular
+        # factors on both sides leave the form the same.
+        d = (S + 1) * (S + 2)
+        g = diag_fn(RationalFn(Poly([1]), d), RationalFn.of(1), RationalFn(Poly([1]), S + 2))
+        if mixed:
+            g = RationalMatrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]]) @ g @ RationalMatrix(
+                [[1, 0, 0], [5, 1, 0], [0, 2, 1]])
+        smf = smith_mcmillan(g)
+        assert list(smf.alphas) == [Poly([1])] * 3
+        assert list(smf.betas) == [d, S + 2, Poly([1])]
+        assert apply_operations(g, smf.left_ops, smf.right_ops) == smf.diagonal()
+        assert replay_entrywise(g, smf.left_ops, smf.right_ops) == smf.diagonal()
+
+    def test_trailing_block_coprime_to_the_denominator(self):
+        # N = diag(1, s+3, (s+3)(s+4)) over d = (s+1)(s+2): the trailing
+        # block shares no factor with d, so it is not divided
+        d = (S + 1) * (S + 2)
+        g = diag_fn(*(RationalFn(e, d) for e in (Poly([1]), S + 3, (S + 3) * (S + 4))))
+        smf = smith_mcmillan(g)
+        assert list(smf.alphas) == [Poly([1]), S + 3, (S + 3) * (S + 4)]
+        assert list(smf.betas) == [d, d, d]
+        assert apply_operations(g, smf.left_ops, smf.right_ops) == smf.diagonal()
+        assert replay_entrywise(g, smf.left_ops, smf.right_ops) == smf.diagonal()
+
     def test_rank_deficient_matrix(self):
         f = RationalFn(Poly([1]), S - 1)
         g = RationalMatrix([[f, f], [f, f]])
